@@ -7,8 +7,10 @@ Build (staged exactly as Table 5 reports):
     built in a thread pool (clusters are independent).
 
 Search: centroids retriever → top-``c0`` clusters → in-cluster retrievers
-(optionally thread-parallel, §3.3.2) each return top-k with exact cosine
-scores → merge → global top-k.
+each return top-k with exact cosine scores → merge → global top-k. One
+query runs its clusters sequentially: a per-query thread pool (§3.3.2's
+parallel retrieval) measured slower at this scale. The IR build stays
+threaded, and the Spark DataSource runs clusters as parallel partitions.
 """
 from __future__ import annotations
 
@@ -50,7 +52,6 @@ class LIDERConfig:
     rescale: bool = True
     base_seed: int = 1234
     kmeans_iters: int = 20
-    parallel_incluster: bool = False  # thread pool over target clusters
     build_workers: int = 8
 
     def resolve(self, n: int) -> tuple[int, int]:
@@ -162,16 +163,10 @@ class LIDER:
         q = np.asarray(q, dtype=np.float32)
         _, c0 = self.config.resolve(self.assignments.shape[0])
         cluster_ids, _ = self.centroid_retriever.search(q, km=c0)
-        targets = [int(j) for j in cluster_ids if int(j) in self.in_cluster]
-
-        def _one(j: int) -> tuple[np.ndarray, np.ndarray]:
-            return self.in_cluster[j].search(q, km=k)
-
-        if self.config.parallel_incluster and len(targets) > 1:
-            with ThreadPoolExecutor(max_workers=min(8, len(targets))) as pool:
-                parts = list(pool.map(_one, targets))
-        else:
-            parts = [_one(j) for j in targets]
+        parts = [
+            self.in_cluster[int(j)].search(q, km=k)
+            for j in cluster_ids if int(j) in self.in_cluster
+        ]
         if not parts:
             return np.empty(0, np.int64), np.empty(0, np.float32)
         all_ids = np.concatenate([p[0] for p in parts])

@@ -27,7 +27,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F, Window
 
-from repro.core.core_model import ArrayUnit, CoreModel, CoreModelConfig
+from repro.core.core_model import CoreModel, CoreModelConfig, fold_rmi
 from repro.core.lider import CENTROID_GROUP, IN_CLUSTER_GROUP, LIDER, LIDERConfig
 from repro.lsh.esklsh import SortedKeyArray
 from repro.lsh.projections import RandomHyperplanes
@@ -155,20 +155,17 @@ def assemble_core_model(
     """
     member_ids = np.asarray(member_ids, dtype=np.int64)
     m_bits = config.hashkey_bits(member_ids.shape[0])
-    units = []
+    arrays, folded = [], []
     for row in sorted(fitted_rows, key=lambda r: r["array_id"]):
         p = json.loads(row["params"])
         sorted_ids = np.asarray(row["sorted_ids"], dtype=np.int64)
         keys = np.asarray(row["sorted_keys"], dtype=np.int64).astype(np.uint64)
         rows = np.searchsorted(member_ids, sorted_ids)
-        units.append(
-            ArrayUnit(
-                SortedKeyArray(keys, rows, m_bits=m_bits),
-                KeyRescaler.from_params(p["rescaler"]),
-                SimplifiedRMI.from_params(p["rmi"]),
-            )
+        arrays.append(SortedKeyArray(keys, rows, m_bits=m_bits))
+        folded.append(
+            fold_rmi(KeyRescaler.from_params(p["rescaler"]), SimplifiedRMI.from_params(p["rmi"]))
         )
-    return CoreModel.from_parts(config, emb, member_ids, units)
+    return CoreModel.from_parts(config, emb, member_ids, arrays, folded)
 
 
 def build_lider_spark(

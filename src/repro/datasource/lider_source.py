@@ -25,6 +25,7 @@ Read path (``spark.read.format("lider")``):
 """
 from __future__ import annotations
 
+import copy
 import json
 import os
 import pickle
@@ -60,14 +61,16 @@ def save_lider_index(lider, path: str) -> None:
     for j, cm in lider.in_cluster.items():
         part_dir = os.path.join(emb_dir, f"cluster_id={j}")
         os.makedirs(part_dir, exist_ok=True)
+        n, d = cm.emb.shape
+        offsets = pa.array(np.arange(0, n * d + 1, d, dtype=np.int32))
         table = pa.table(
             {
                 "id": pa.array(cm.ids, type=pa.int64()),
-                "emb": pa.array([row.tolist() for row in cm.emb], type=pa.list_(pa.float32())),
+                "emb": pa.ListArray.from_arrays(offsets, pa.array(cm.emb.ravel())),
             }
         )
         pq.write_table(table, os.path.join(part_dir, "part-0.parquet"))
-        stripped = pickle.loads(pickle.dumps(cm))  # deep copy, then drop data
+        stripped = copy.copy(cm)  # shares the index arrays; only emb differs
         stripped.emb = None
         with open(os.path.join(idx_dir, f"cluster_{j}.pkl"), "wb") as f:
             pickle.dump(stripped, f)
@@ -87,13 +90,19 @@ def save_lider_index(lider, path: str) -> None:
 
 def _load_cluster_embeddings(path: str, j: int, ids: np.ndarray) -> np.ndarray:
     """Read one cluster's Parquet and align rows to the retriever's ids."""
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     table = pq.read_table(os.path.join(path, "embeddings", f"cluster_id={j}"))
     file_ids = table.column("id").to_numpy()
-    emb = np.vstack(table.column("emb").to_pylist()).astype(np.float32)
-    order = {int(i): r for r, i in enumerate(file_ids)}
-    rows = np.array([order[int(i)] for i in ids], dtype=np.int64)
+    values = pc.list_flatten(table.column("emb")).to_numpy()
+    emb = values.astype(np.float32, copy=False).reshape(file_ids.shape[0], -1)
+    order = np.argsort(file_ids, kind="stable")
+    pos = np.minimum(np.searchsorted(file_ids, ids, sorter=order), order.size - 1)
+    rows = order[pos]
+    if not np.array_equal(file_ids[rows], ids):
+        missing = ids[file_ids[rows] != ids]
+        raise ValueError(f"cluster {j}: ids {missing[:5].tolist()} missing from {path}")
     return emb[rows]
 
 

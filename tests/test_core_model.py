@@ -4,6 +4,33 @@ import pytest
 
 from repro.core.core_model import CoreModel, CoreModelConfig
 from repro.metrics import recall_at_k
+from repro.rmi.rescale import KeyRescaler
+from repro.rmi.rmi import SimplifiedRMI
+
+PARAMS = ("root_a", "root_x", "root_b", "child_a", "child_x", "child_b")
+
+
+def reference_locations(cm: CoreModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-array reference for ``predict_locations``: refit each sorted
+    array's re-scaler and RMI on their own and predict through them, with
+    no folding or stacking. Returns (Q, H) query keys and locations."""
+    keys = np.stack([cm.esklsh.query_keys(q) for q in queries])
+    locs = np.empty(keys.shape, dtype=np.int64)
+    for i, arr in enumerate(cm.esklsh.arrays):
+        rescaler = KeyRescaler(len(arr), enabled=cm.config.rescale)
+        rmi = SimplifiedRMI(cm.config.width, len(arr)).fit(
+            rescaler.fit_transform(arr.keys), np.arange(len(arr), dtype=np.float64)
+        )
+        locs[:, i] = rmi.predict_location(rescaler.transform(keys[:, i]))
+    return keys, locs
+
+
+def assert_matches_reference(cm: CoreModel, queries: np.ndarray) -> None:
+    ref_keys, ref_locs = reference_locations(cm, queries)
+    for q, k2, l2 in zip(queries, ref_keys, ref_locs):
+        k1, l1 = cm.predict_locations(q)
+        assert np.array_equal(k1, k2)
+        assert np.array_equal(l1, l2)
 
 
 class TestConfig:
@@ -21,15 +48,21 @@ class TestConfig:
 
 class TestBuild:
     def test_unit_count_matches_h(self, core_model_small):
-        assert len(core_model_small.units) == 8
+        cm = core_model_small
+        assert len(cm.esklsh.arrays) == 8
+        assert cm.root_a.shape == (8,)
+        assert cm.child_a.shape == (8, cm.config.width)
 
     def test_arrays_cover_corpus(self, core_model_small, corpus_small):
-        for u in core_model_small.units:
-            assert len(u.array) == corpus_small.n
+        for arr in core_model_small.esklsh.arrays:
+            assert len(arr) == corpus_small.n
 
-    def test_rmi_trained_per_array(self, core_model_small):
-        for u in core_model_small.units:
-            assert u.rmi.root is not None
+    def test_rmi_trained_per_array(self, core_model_small, corpus_small):
+        """Every array's root is fitted: ascending keys → ascending
+        locations, centred on the mean location."""
+        cm = core_model_small
+        assert (cm.root_a > 0).all()
+        assert cm.root_b == pytest.approx(np.full(8, (corpus_small.n - 1) / 2))
 
     def test_default_ids_are_arange(self, core_model_small, corpus_small):
         assert np.array_equal(core_model_small.ids, np.arange(corpus_small.n))
@@ -51,30 +84,37 @@ class TestBuild:
     def test_deterministic_rebuild(self, corpus_small):
         a = CoreModel(CoreModelConfig(h=3)).fit(corpus_small.emb)
         b = CoreModel(CoreModelConfig(h=3)).fit(corpus_small.emb)
-        for ua, ub in zip(a.units, b.units):
-            assert np.array_equal(ua.array.keys, ub.array.keys)
-            assert np.array_equal(ua.array.rows, ub.array.rows)
+        for arr_a, arr_b in zip(a.esklsh.arrays, b.esklsh.arrays):
+            assert np.array_equal(arr_a.keys, arr_b.keys)
+            assert np.array_equal(arr_a.rows, arr_b.rows)
+        for name in PARAMS:
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_groups_hash_differently(self, corpus_small):
         a = CoreModel(CoreModelConfig(h=2, group=0)).fit(corpus_small.emb)
         b = CoreModel(CoreModelConfig(h=2, group=1)).fit(corpus_small.emb)
-        assert not np.array_equal(a.units[0].array.keys, b.units[0].array.keys)
+        assert not np.array_equal(a.esklsh.arrays[0].keys, b.esklsh.arrays[0].keys)
 
 
 class TestPredictLocations:
     def test_fast_path_matches_reference(self, core_model_small, queries_small):
-        for q in queries_small.emb[:10]:
-            k1, l1 = core_model_small.predict_locations(q)
-            k2, l2 = core_model_small.predict_locations_reference(q)
-            assert np.array_equal(k1, k2)
-            assert np.array_equal(l1, l2)
+        """The folded, stacked path equals the per-array reference."""
+        assert_matches_reference(core_model_small, queries_small.emb)
 
     def test_fast_path_matches_reference_without_rescale(self, corpus_small):
+        """The Table-4 ablation arm: raw decimal keys, diverged slopes of
+        ±1e30 — still exact, with no overflow or invalid operation."""
         cm = CoreModel(CoreModelConfig(h=4, rescale=False, pad=12)).fit(corpus_small.emb)
-        for q in corpus_small.emb[:5]:
-            _, l1 = cm.predict_locations(q)
-            _, l2 = cm.predict_locations_reference(q)
-            assert np.array_equal(l1, l2)
+        assert (np.abs(cm.child_a) == 1e30).any()
+        with np.errstate(all="raise"):
+            assert_matches_reference(cm, corpus_small.emb[:20])
+
+    def test_identical_keys_match_reference(self, corpus_small):
+        """A corpus of one repeated vector: every key equal, span 0."""
+        emb = np.repeat(corpus_small.emb[:1], 50, axis=0)
+        cm = CoreModel(CoreModelConfig(h=4)).fit(emb)
+        assert all(arr.keys.min() == arr.keys.max() for arr in cm.esklsh.arrays)
+        assert_matches_reference(cm, corpus_small.emb[:20])
 
     def test_locations_in_range(self, core_model_small, queries_small, corpus_small):
         for q in queries_small.emb[:10]:
@@ -88,8 +128,8 @@ class TestPredictLocations:
         for q in queries_small.emb:
             q_keys, locs = core_model_small.predict_locations(q)
             true = [
-                u.array.entry_location(int(k))
-                for u, k in zip(core_model_small.units, q_keys)
+                arr.entry_location(int(k))
+                for arr, k in zip(core_model_small.esklsh.arrays, q_keys)
             ]
             errs.append(np.abs(locs - np.asarray(true)))
         assert np.median(np.concatenate(errs)) < corpus_small.n * 0.05
@@ -136,13 +176,5 @@ class TestSearch:
 
 
 class TestStats:
-    def test_expansion_accounting(self, corpus_small):
-        cm = CoreModel(CoreModelConfig(h=2)).fit(corpus_small.emb)
-        cm.reset_expansion_stats()
-        cm.search(corpus_small.emb[0], 10)
-        cm.search(corpus_small.emb[1], 10)
-        assert cm.expansion_count == 2 and cm.expansion_seconds > 0
-        assert cm.avg_expansion_seconds == pytest.approx(cm.expansion_seconds / 2)
-
     def test_nbytes_positive_and_excludes_embeddings(self, core_model_small, corpus_small):
         assert 0 < core_model_small.nbytes < corpus_small.emb.nbytes * 10

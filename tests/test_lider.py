@@ -87,17 +87,6 @@ class TestSearch:
         lider_mrr = mrr_at_k(ranked, queries_small.relevant, 10)
         assert lider_mrr >= 0.7 * flat_mrr
 
-    def test_parallel_equals_sequential(self, corpus_small, clustered_small, queries_small):
-        cents, assign = clustered_small
-        seq = LIDER(LIDERConfig(c=8, c0=4, parallel_incluster=False)).fit(
-            corpus_small.emb, assignments=assign, centroids=cents
-        )
-        par = LIDER(LIDERConfig(c=8, c0=4, parallel_incluster=True)).fit(
-            corpus_small.emb, assignments=assign, centroids=cents
-        )
-        for q in queries_small.emb[:10]:
-            assert np.array_equal(seq.search(q, 30)[0], par.search(q, 30)[0])
-
     def test_more_c0_not_worse(self, corpus_small, clustered_small, queries_small, truth_small):
         """The Fig.-7 trend: probing more clusters improves recall."""
         cents, assign = clustered_small

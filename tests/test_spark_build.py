@@ -131,10 +131,11 @@ class TestEndToEnd:
         for j, cm in driver.in_cluster.items():
             other = dist.in_cluster[j]
             assert np.array_equal(cm.ids, other.ids)
-            for ua, ub in zip(cm.units, other.units):
-                assert np.array_equal(ua.array.keys, ub.array.keys)
-                assert np.array_equal(ua.array.rows, ub.array.rows)
-                assert ua.rmi.to_params() == ub.rmi.to_params()
+            for arr_a, arr_b in zip(cm.esklsh.arrays, other.esklsh.arrays):
+                assert np.array_equal(arr_a.keys, arr_b.keys)
+                assert np.array_equal(arr_a.rows, arr_b.rows)
+            for name in ("root_a", "root_x", "root_b", "child_a", "child_x", "child_b"):
+                assert np.array_equal(getattr(cm, name), getattr(other, name))
         for q in queries_small.emb[:15]:
             ids_a, sc_a = driver.search(q, 30)
             ids_b, sc_b = dist.search(q, 30)
