@@ -63,6 +63,17 @@ class LIDERConfig:
         c0 = self.c0 if self.c0 is not None else max(8, c // 50)
         return c, min(c0, c)
 
+    def core_config(self, group: int) -> CoreModelConfig:
+        """Core-model config of the centroids retriever (``CENTROID_GROUP``,
+        width ``w_centroids``) or of an in-cluster retriever (any other
+        group, width ``w_incluster``)."""
+        return CoreModelConfig(
+            h=self.h,
+            width=self.w_centroids if group == CENTROID_GROUP else self.w_incluster,
+            r0=self.r0, b=self.b, pad=self.pad, rescale=self.rescale,
+            base_seed=self.base_seed, group=group,
+        )
+
 
 @dataclass
 class BuildReport:
@@ -120,12 +131,9 @@ class LIDER:
 
         t0 = time.perf_counter()
         c_actual = self.centroids.shape[0]
-        self.centroid_retriever = CoreModel(
-            CoreModelConfig(
-                h=cfg.h, width=cfg.w_centroids, r0=cfg.r0, b=cfg.b, pad=cfg.pad,
-                rescale=cfg.rescale, base_seed=cfg.base_seed, group=CENTROID_GROUP,
-            )
-        ).fit(self.centroids, np.arange(c_actual, dtype=np.int64))
+        self.centroid_retriever = CoreModel(cfg.core_config(CENTROID_GROUP)).fit(
+            self.centroids, np.arange(c_actual, dtype=np.int64)
+        )
         self.report.stage2_seconds = time.perf_counter() - t0
         self.report.stage2_bytes = self.report.stage1_bytes + self.centroid_retriever.nbytes
 
@@ -133,18 +141,13 @@ class LIDER:
         members = {
             j: np.flatnonzero(self.assignments == j) for j in range(c_actual)
         }
+        in_cfg = cfg.core_config(IN_CLUSTER_GROUP)
 
         def _build(j: int) -> tuple[int, CoreModel | None]:
             rows = members[j]
             if rows.size == 0:
                 return j, None
-            cm = CoreModel(
-                CoreModelConfig(
-                    h=cfg.h, width=cfg.w_incluster, r0=cfg.r0, b=cfg.b, pad=cfg.pad,
-                    rescale=cfg.rescale, base_seed=cfg.base_seed, group=IN_CLUSTER_GROUP,
-                )
-            ).fit(emb[rows], ids[rows])
-            return j, cm
+            return j, CoreModel(in_cfg).fit(emb[rows], ids[rows])
 
         self.in_cluster = {}
         with ThreadPoolExecutor(max_workers=self.config.build_workers) as pool:

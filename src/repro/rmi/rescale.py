@@ -48,19 +48,3 @@ class KeyRescaler:
 
     def fit_transform(self, keys: np.ndarray) -> np.ndarray:
         return self.fit(keys).transform(keys)
-
-    def to_params(self) -> dict:
-        """Serializable parameters (used by the Spark build / DataSource)."""
-        return {
-            "array_length": self.array_length,
-            "enabled": self.enabled,
-            "key_min": self.key_min,
-            "key_max": self.key_max,
-        }
-
-    @classmethod
-    def from_params(cls, p: dict) -> "KeyRescaler":
-        r = cls(int(p["array_length"]), enabled=bool(p["enabled"]))
-        r.key_min = None if p["key_min"] is None else float(p["key_min"])
-        r.key_max = None if p["key_max"] is None else float(p["key_max"])
-        return r

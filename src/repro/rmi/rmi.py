@@ -21,7 +21,7 @@ out-of-range failure mode the paper's Table 4 measures.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,13 +64,6 @@ class LinearModel:
         with np.errstate(over="ignore", invalid="ignore"):
             out = self.a * (x - self.x_mean) + self.b
         return np.nan_to_num(out, nan=0.0, posinf=_BIG, neginf=-_BIG)
-
-    def to_params(self) -> dict:
-        return {"a": self.a, "b": self.b, "x_mean": self.x_mean}
-
-    @classmethod
-    def from_params(cls, p: dict) -> "LinearModel":
-        return cls(a=float(p["a"]), b=float(p["b"]), x_mean=float(p["x_mean"]))
 
 
 def _gd_slope(var: float, cov: float, lr: float, steps: int) -> float:
@@ -132,7 +125,7 @@ class SimplifiedRMI:
                 self.children.append(LinearModel.fit(keys[mask], locations[mask], l_ref))
             else:
                 # Empty subspace: fall back to the root's prediction.
-                self.children.append(LinearModel.from_params(self.root.to_params()))
+                self.children.append(replace(self.root))
         return self
 
     def _route(self, keys: np.ndarray) -> np.ndarray:
@@ -156,21 +149,6 @@ class SimplifiedRMI:
         """Clipped integer locations in [0, L−1] (RMI truncates/rounds, §7.4)."""
         raw = self.predict_raw(keys)
         return np.clip(np.rint(raw), 0, self.array_length - 1).astype(np.int64)
-
-    def to_params(self) -> dict:
-        return {
-            "width": self.width,
-            "array_length": self.array_length,
-            "root": self.root.to_params(),
-            "children": [c.to_params() for c in self.children],
-        }
-
-    @classmethod
-    def from_params(cls, p: dict) -> "SimplifiedRMI":
-        rmi = cls(int(p["width"]), int(p["array_length"]))
-        rmi.root = LinearModel.from_params(p["root"])
-        rmi.children = [LinearModel.from_params(c) for c in p["children"]]
-        return rmi
 
     @property
     def nbytes(self) -> int:

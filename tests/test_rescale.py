@@ -49,18 +49,6 @@ class TestKeyRescaler:
         assert r.transform(np.array([30], dtype=np.uint64))[0] == pytest.approx(20.0)
         assert r.transform(np.array([0], dtype=np.uint64))[0] == pytest.approx(-10.0)
 
-    def test_params_roundtrip(self):
-        r = KeyRescaler(42, enabled=False).fit(np.array([3, 9], dtype=np.uint64))
-        r2 = KeyRescaler.from_params(r.to_params())
-        keys = np.array([3, 6, 9], dtype=np.uint64)
-        assert np.array_equal(r.transform(keys), r2.transform(keys))
-
-    def test_params_roundtrip_enabled(self):
-        r = KeyRescaler(42).fit(np.array([3, 9], dtype=np.uint64))
-        r2 = KeyRescaler.from_params(r.to_params())
-        keys = np.array([3, 6, 9], dtype=np.uint64)
-        assert np.array_equal(r.transform(keys), r2.transform(keys))
-
     def test_exactness_at_50_bits(self):
         keys = np.array([2**50 - 1, 2**50 - 2], dtype=np.uint64)
         out = KeyRescaler(2, enabled=False).fit_transform(keys)
