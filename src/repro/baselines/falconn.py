@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.baselines.base import ANNIndex
 from repro.lsh.hashkeys import pack_bits
-from repro.lsh.projections import make_projection_family
+from repro.lsh.projections import hyperplanes
 
 
 class MultiProbeLSHIndex(ANNIndex):
@@ -27,7 +27,7 @@ class MultiProbeLSHIndex(ANNIndex):
         self.n_probes = max(1, n_probes)
         self.seed = seed
         self.tables: list[dict[int, np.ndarray]] = []
-        self.hashers = []
+        self.planes: np.ndarray | None = None  # (H, M, d)
         self.emb: np.ndarray | None = None
 
     def fit(self, emb: np.ndarray, ids: np.ndarray | None = None) -> "MultiProbeLSHIndex":
@@ -37,12 +37,10 @@ class MultiProbeLSHIndex(ANNIndex):
         self.emb = emb
         m = self.m if self.m is not None else max(4, int(np.ceil(np.log2(max(n, 2)))))
         self._m_bits = m
-        self.hashers = make_projection_family(
-            emb.shape[1], m, self.h, base_seed=self.seed, group=10_000
-        )
+        self.planes = hyperplanes(emb.shape[1], m, self.h, base_seed=self.seed, group=10_000)
         self.tables = []
-        for hasher in self.hashers:
-            keys = hasher.keys(emb)
+        for planes in self.planes:
+            keys = pack_bits((emb @ planes.T) > 0)
             order = np.argsort(keys, kind="stable")
             sorted_keys = keys[order]
             # Bucket boundaries from the sorted key array.
@@ -69,9 +67,9 @@ class MultiProbeLSHIndex(ANNIndex):
     def search(self, q: np.ndarray, k: int) -> np.ndarray:
         q = np.asarray(q, dtype=np.float32)
         rows = []
-        for hasher, table in zip(self.hashers, self.tables):
-            proj = hasher.projections(q)[0]
-            base_key = int(pack_bits((proj > 0)[None, :])[0])
+        projections = self.planes @ q  # (H, M)
+        base_keys = pack_bits(projections > 0)
+        for proj, base_key, table in zip(projections, base_keys, self.tables):
             for key in self._probe_keys(base_key, proj):
                 bucket = table.get(key)
                 if bucket is not None:
@@ -87,4 +85,4 @@ class MultiProbeLSHIndex(ANNIndex):
         bucket_bytes = sum(
             sum(v.nbytes for v in table.values()) for table in self.tables
         )
-        return bucket_bytes + sum(h.nbytes for h in self.hashers)
+        return bucket_bytes + self.planes.nbytes

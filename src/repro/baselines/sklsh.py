@@ -1,6 +1,7 @@
 """Original SK-LSH (Liu et al. 2014) — the paper's baseline (8), implemented
 from scratch (the paper notes no open-source implementation exists).
 
+The H sorted hashkey arrays are built by ESK-LSH's own ``ESKLSH.fit``.
 Differences from LIDER's ESK-LSH, preserved deliberately:
   * entry point found by *binary search* on each sorted array (no RMI);
   * expansion is the *iterative global* bi-directional scheme: at each step
@@ -22,9 +23,9 @@ import heapq
 import numpy as np
 
 from repro.baselines.base import ANNIndex
-from repro.lsh.esklsh import SortedKeyArray
+from repro.lsh.esklsh import ESKLSH
 from repro.lsh.hashkeys import dist_original
-from repro.lsh.projections import make_projection_family
+from repro.lsh.projections import hyperplanes
 
 
 class SKLSHIndex(ANNIndex):
@@ -38,8 +39,7 @@ class SKLSHIndex(ANNIndex):
         self.m = m
         self.r0 = r0
         self.seed = seed
-        self.hashers = []
-        self.arrays: list[SortedKeyArray] = []
+        self.esklsh: ESKLSH | None = None
         self.emb: np.ndarray | None = None
 
     def fit(self, emb: np.ndarray, ids: np.ndarray | None = None) -> "SKLSHIndex":
@@ -50,14 +50,9 @@ class SKLSHIndex(ANNIndex):
         self._m_bits = self.m if self.m is not None else max(
             4, int(np.ceil(np.log2(max(n, 2))))
         )
-        self.hashers = make_projection_family(
-            emb.shape[1], self._m_bits, self.h, base_seed=self.seed, group=20_000
-        )
-        self.arrays = []
-        for hasher in self.hashers:
-            keys = hasher.keys(emb)
-            order = np.argsort(keys, kind="stable")
-            self.arrays.append(SortedKeyArray(keys[order], order, m_bits=self._m_bits))
+        self.esklsh = ESKLSH(
+            hyperplanes(emb.shape[1], self._m_bits, self.h, base_seed=self.seed, group=20_000)
+        ).fit(emb)
         return self
 
     def _candidates(self, q: np.ndarray, budget: int) -> np.ndarray:
@@ -68,10 +63,10 @@ class SKLSHIndex(ANNIndex):
         advances it. Stops after ``budget`` candidates or exhaustion.
         """
         m = self._m_bits
+        arrays = self.esklsh.arrays
         heap = []
         dists = []  # per-array precomputed frontier distances
-        for a_idx, (hasher, arr) in enumerate(zip(self.hashers, self.arrays)):
-            qkey = np.uint64(hasher.keys(q))
+        for a_idx, (qkey, arr) in enumerate(zip(self.esklsh.query_keys(q), arrays)):
             entry = int(np.searchsorted(arr.keys, arr.keys.dtype.type(qkey)))
             lo = max(0, entry - budget)
             hi = min(len(arr), entry + budget)
@@ -88,10 +83,10 @@ class SKLSHIndex(ANNIndex):
         out = []
         while heap and len(out) < budget:
             _, a_idx, pos, step = heapq.heappop(heap)
-            out.append(self.arrays[a_idx].rows[pos])
+            out.append(arrays[a_idx].rows[pos])
             nxt = pos + step
             lo, window_d = dists[a_idx]
-            if lo <= nxt < lo + window_d.shape[0] and 0 <= nxt < len(self.arrays[a_idx]):
+            if lo <= nxt < lo + window_d.shape[0] and 0 <= nxt < len(arrays[a_idx]):
                 heapq.heappush(heap, (float(window_d[nxt - lo]), a_idx, nxt, step))
         return np.unique(np.array(out, dtype=np.int64)) if out else np.empty(0, np.int64)
 
@@ -106,4 +101,4 @@ class SKLSHIndex(ANNIndex):
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in self.arrays) + sum(h.nbytes for h in self.hashers)
+        return self.esklsh.nbytes

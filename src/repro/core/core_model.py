@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.lsh.esklsh import ESKLSH, SortedKeyArray
+from repro.lsh.projections import hyperplanes
 from repro.rmi.rescale import KeyRescaler
 from repro.rmi.rmi import _BIG, SimplifiedRMI
 
@@ -48,6 +49,14 @@ class CoreModelConfig:
 
     def hashkey_bits(self, n: int) -> int:
         return min(50, max(4, math.ceil(math.log2(max(n, 2))) + self.pad))
+
+    def hyperplanes(self, dim: int, n: int) -> np.ndarray:
+        """(H, M, dim) planes of this config's seed group, M the hashkey
+        length of ``n`` vectors; a model over fewer vectors in the same
+        group hashes with a ``[:, :M]`` view of them."""
+        return hyperplanes(
+            dim, self.hashkey_bits(n), self.h, base_seed=self.base_seed, group=self.group
+        )
 
 
 def fold_rmi(rescaler: KeyRescaler, rmi: SimplifiedRMI) -> np.ndarray:
@@ -94,7 +103,16 @@ class CoreModel:
         self.child_a = self.child_x = self.child_b = None
 
     # ------------------------------------------------------------------ build
-    def fit(self, emb: np.ndarray, ids: np.ndarray | None = None) -> "CoreModel":
+    def fit(
+        self,
+        emb: np.ndarray,
+        ids: np.ndarray | None = None,
+        *,
+        planes: np.ndarray | None = None,
+    ) -> "CoreModel":
+        """Build over ``emb``. ``planes`` is a longer tensor of this config's
+        seed group to hash with a view of (LIDER's shared in-cluster planes);
+        without it the model draws its own."""
         emb = np.ascontiguousarray(emb, dtype=np.float32)
         n = emb.shape[0]
         if n == 0:
@@ -106,10 +124,7 @@ class CoreModel:
         if self.ids.shape[0] != n:
             raise ValueError("ids must align with embeddings")
         cfg = self.config
-        m = cfg.hashkey_bits(n)
-        self.esklsh = ESKLSH(
-            emb.shape[1], m, cfg.h, base_seed=cfg.base_seed, group=cfg.group
-        ).fit(emb)
+        self.esklsh = ESKLSH(self._hash_planes(emb.shape[1], n, planes)).fit(emb)
         folded = []
         for arr in self.esklsh.arrays:
             rescaler = KeyRescaler(len(arr), enabled=cfg.rescale)
@@ -128,19 +143,32 @@ class CoreModel:
         ids: np.ndarray,
         arrays: list[SortedKeyArray],
         folded: list[np.ndarray],
+        *,
+        planes: np.ndarray | None = None,
     ) -> "CoreModel":
         """Assemble a core model from externally built sorted arrays and
-        their ``fold_rmi`` parameters (Spark build)."""
+        their ``fold_rmi`` parameters (Spark build); ``planes`` as in
+        :meth:`fit`."""
         cm = cls(config)
         cm.emb = np.ascontiguousarray(emb, dtype=np.float32)
         cm.ids = np.asarray(ids, dtype=np.int64)
-        m = config.hashkey_bits(cm.emb.shape[0])
-        cm.esklsh = ESKLSH(
-            cm.emb.shape[1], m, config.h, base_seed=config.base_seed, group=config.group
-        )
+        cm.esklsh = ESKLSH(cm._hash_planes(cm.emb.shape[1], cm.emb.shape[0], planes))
         cm.esklsh.arrays = arrays
         cm._set_params(folded)
         return cm
+
+    def _hash_planes(self, dim: int, n: int, planes: np.ndarray | None) -> np.ndarray:
+        """The ``[:, :M]`` view of ``planes`` this model hashes ``n`` vectors
+        with, or its own planes when ``planes`` is None."""
+        if planes is None:
+            return self.config.hyperplanes(dim, n)
+        m = self.config.hashkey_bits(n)
+        if planes.shape[0] != self.config.h or planes.shape[1] < m or planes.shape[2] != dim:
+            raise ValueError(
+                f"planes of shape {planes.shape} cannot hash with H={self.config.h}, "
+                f"M={m}, dim={dim}"
+            )
+        return planes[:, :m]
 
     def _set_params(self, folded: list[np.ndarray]) -> None:
         """Stack the H arrays' folded parameters, so one query's H location
@@ -185,12 +213,6 @@ class CoreModel:
     @property
     def n(self) -> int:
         return 0 if self.emb is None else self.emb.shape[0]
-
-    @property
-    def planes_nbytes(self) -> int:
-        """Bytes of this model's hyperplane matrices (shared across core
-        models in the same seed group — LIDER counts them once)."""
-        return 0 if self.esklsh is None else self.esklsh.planes_nbytes
 
     @property
     def nbytes(self) -> int:

@@ -25,10 +25,21 @@ from repro.core.kmeans import spherical_kmeans
 
 CENTROID_GROUP = -1  # projection-seed group id of the centroids retriever
 # All in-cluster retrievers share one projection-seed group: clusters index
-# disjoint data, so one physical family of hyperplanes (sliced to each
-# cluster's hashkey length) serves every cluster — the planes are numpy
-# views of a single cached matrix, counted once in the memory footprint.
+# disjoint data, so one (H, M, d) hyperplane tensor, drawn once per index at
+# the largest cluster's hashkey length M (``LIDER.planes``), serves every
+# cluster through a ``[:, :M_j]`` view — counted once in the memory footprint.
 IN_CLUSTER_GROUP = 0
+
+
+def check_query(q: np.ndarray, dim: int) -> np.ndarray:
+    """``q`` as a float32 vector; ValueError unless it has ``dim`` finite
+    values."""
+    q = np.asarray(q, dtype=np.float32)
+    if q.shape != (dim,):
+        raise ValueError(f"query has shape {q.shape}, expected ({dim},)")
+    if not np.isfinite(q).all():
+        raise ValueError("query has non-finite values")
+    return q
 
 
 @dataclass
@@ -96,6 +107,7 @@ class LIDER:
         self.assignments: np.ndarray | None = None  # (n,)
         self.centroid_retriever: CoreModel | None = None
         self.in_cluster: dict[int, CoreModel] = {}
+        self.planes: np.ndarray | None = None  # (H, M, d) shared by the IRs
         self.report = BuildReport()
 
     # ------------------------------------------------------------------ build
@@ -142,12 +154,14 @@ class LIDER:
             j: np.flatnonzero(self.assignments == j) for j in range(c_actual)
         }
         in_cfg = cfg.core_config(IN_CLUSTER_GROUP)
+        largest = max(rows.size for rows in members.values())
+        self.planes = in_cfg.hyperplanes(emb.shape[1], largest)
 
         def _build(j: int) -> tuple[int, CoreModel | None]:
             rows = members[j]
             if rows.size == 0:
                 return j, None
-            return j, CoreModel(in_cfg).fit(emb[rows], ids[rows])
+            return j, CoreModel(in_cfg).fit(emb[rows], ids[rows], planes=self.planes)
 
         self.in_cluster = {}
         with ThreadPoolExecutor(max_workers=self.config.build_workers) as pool:
@@ -160,10 +174,16 @@ class LIDER:
 
     # ----------------------------------------------------------------- search
     def search(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Top-k (external ids, cosine scores) for one query embedding."""
+        """Top-k (external ids, cosine scores) for one query embedding.
+
+        Raises ValueError for ``k < 1`` or a query that is not a finite
+        vector of the corpus dimension.
+        """
         if self.centroid_retriever is None:
             raise RuntimeError("search before fit")
-        q = np.asarray(q, dtype=np.float32)
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
+        q = check_query(q, self.centroids.shape[1])
         _, c0 = self.config.resolve(self.assignments.shape[0])
         cluster_ids, _ = self.centroid_retriever.search(q, km=c0)
         parts = [
@@ -185,17 +205,16 @@ class LIDER:
     def memory_footprint(self) -> int:
         """Index-only bytes (embeddings excluded), as in Table 5.
 
-        The in-cluster retrievers share one hyperplane family (numpy views
-        of a single cached matrix), so plane bytes are counted once — at
-        the largest slice any cluster uses — not per cluster.
+        Every in-cluster retriever hashes with a view of ``self.planes``, so
+        the in-cluster plane bytes are that one tensor's, not a sum over
+        the views.
         """
         total = self.report.stage1_bytes
         if self.centroid_retriever is not None:
             total += self.centroid_retriever.nbytes
         total += sum(
-            cm.nbytes - cm.planes_nbytes for cm in self.in_cluster.values()
+            cm.nbytes - cm.esklsh.planes.nbytes for cm in self.in_cluster.values()
         )
-        total += max(
-            (cm.planes_nbytes for cm in self.in_cluster.values()), default=0
-        )
+        if self.planes is not None:
+            total += self.planes.nbytes
         return total

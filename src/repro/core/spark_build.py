@@ -12,7 +12,8 @@ the distributed_dataflow formulation the reproduction targets:
      rows and the folded RMI parameters;
   3. **driver assembly**: each cluster's members come from one stable
      argsort of the assignments (the order ``LIDER.fit`` uses) and go into
-     ``CoreModel.from_parts`` with the fitted arrays.
+     ``CoreModel.from_parts`` with the fitted arrays and a view of the
+     index's one in-cluster hyperplane tensor, drawn as ``LIDER.fit`` does.
 
 Hashing, the row tie-break and the RMI folding are those of
 ``CoreModel.fit``, so given identical cluster assignments the assembled
@@ -132,13 +133,14 @@ def build_lider_spark(
     order = np.argsort(assignments, kind="stable")
     sizes = np.bincount(assignments, minlength=centroids.shape[0])
     ends = np.cumsum(sizes)
+    lider.planes = in_cfg.hyperplanes(emb.shape[1], int(sizes.max()))
     for j, grp in fitted.groupby("cluster_id"):
         members = order[ends[j] - sizes[j]:ends[j]]
         m_bits = in_cfg.hashkey_bits(members.size)
         arrays = [SortedKeyArray(k, r, m_bits=m_bits) for k, r in zip(grp["keys"], grp["rows"])]
         folded = [np.reshape(p, (3, -1)) for p in grp["params"]]
         lider.in_cluster[int(j)] = CoreModel.from_parts(
-            in_cfg, emb[members], ids[members], arrays, folded
+            in_cfg, emb[members], ids[members], arrays, folded, planes=lider.planes
         )
     lider.report.stage1_bytes = centroids.nbytes + assignments.nbytes
     lider.report.stage3_bytes = lider.memory_footprint()

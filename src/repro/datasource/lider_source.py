@@ -41,6 +41,8 @@ from pyspark.sql.datasource import (
 )
 from pyspark.sql.types import StructType
 
+from repro.core.lider import check_query
+
 SCHEMA_DDL = "id long, cluster_id int, score double, rank int"
 
 
@@ -140,11 +142,14 @@ class LiderReader(DataSourceReader):
             return json.load(f)
 
     def partitions(self):
+        """Raises ValueError for a query that is not a finite vector of the
+        index's dimension."""
         meta = self._meta()
         clusters = meta["clusters"]
         if self.query is not None:
             with open(os.path.join(self.path, "index", "centroid_retriever.pkl"), "rb") as f:
                 cr = pickle.load(f)
+            self.query = check_query(self.query, cr.emb.shape[1])
             c0 = self.c0 or meta["c0"]
             targets, _ = cr.search(self.query, km=c0)
             clusters = [int(j) for j in targets if int(j) in set(clusters)]

@@ -9,5 +9,5 @@ from repro.lsh.hashkeys import (  # noqa: F401
     dist_extended,
     dist_original,
 )
-from repro.lsh.projections import RandomHyperplanes, make_projection_family  # noqa: F401
+from repro.lsh.projections import hyperplanes  # noqa: F401
 from repro.lsh.esklsh import ESKLSH, SortedKeyArray, expansion_window  # noqa: F401

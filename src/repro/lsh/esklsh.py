@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.lsh.hashkeys import pack_bits
-from repro.lsh.projections import RandomHyperplanes, make_projection_family
 
 
 def expansion_window(loc: int, r: int, length: int) -> tuple[int, int]:
@@ -76,28 +75,24 @@ class SortedKeyArray:
         loc = int(np.searchsorted(self.keys, self.keys.dtype.type(query_key)))
         return min(loc, len(self) - 1)
 
-    def window_rows(self, loc: int, r: int) -> np.ndarray:
-        start, end = expansion_window(loc, r, len(self))
-        return self.rows[start:end]
-
     @property
     def nbytes(self) -> int:
         return self.keys.nbytes + self.rows.nbytes
 
 
 class ESKLSH:
-    """The full dimension-reduction module: H compound hashes + H sorted arrays."""
+    """The full dimension-reduction module: H compound hashes + H sorted arrays.
 
-    def __init__(self, dim: int, m: int, h: int, *, base_seed: int = 1234, group: int = 0):
-        if h <= 0:
+    ``planes`` is the (H, M, d) tensor of :func:`~repro.lsh.projections.hyperplanes`,
+    or a ``[:, :M]`` view of a longer one: the model's only copy of its
+    hyperplanes, which hashes both the corpus and the queries.
+    """
+
+    def __init__(self, planes: np.ndarray):
+        self.h, self.m = planes.shape[:2]
+        if self.h <= 0:
             raise ValueError("H must be positive")
-        self.dim, self.m, self.h = dim, m, h
-        self.hashers: list[RandomHyperplanes] = make_projection_family(
-            dim, m, h, base_seed=base_seed, group=group
-        )
-        # (H, M, d) stacked hyperplanes: one matmul hashes a query for all
-        # H arrays at once ("query hashkey generation", §6.1 step 1).
-        self._planes = np.stack([hs.planes for hs in self.hashers])
+        self.planes = planes
         self.arrays: list[SortedKeyArray] = []
 
     def fit(self, x: np.ndarray) -> "ESKLSH":
@@ -108,8 +103,8 @@ class ESKLSH:
         """
         x = np.asarray(x, dtype=np.float32)
         self.arrays = []
-        for hasher in self.hashers:
-            keys = hasher.keys(x)
+        for planes in self.planes:
+            keys = pack_bits((x @ planes.T) > 0)
             order = np.argsort(keys, kind="stable")
             self.arrays.append(SortedKeyArray(keys[order], order, m_bits=self.m))
         return self
@@ -117,8 +112,7 @@ class ESKLSH:
     def query_keys(self, q: np.ndarray) -> np.ndarray:
         """(H,) query hashkeys, one per array, in a single stacked matmul."""
         q = np.asarray(q, dtype=np.float32)
-        bits = (self._planes @ q) > 0  # (H, M)
-        return pack_bits(bits)
+        return pack_bits((self.planes @ q) > 0)  # (H, M) bits
 
     def candidate_rows(self, locations: np.ndarray, r: int) -> np.ndarray:
         """Union (deduplicated) of the H expansion windows.
@@ -137,9 +131,5 @@ class ESKLSH:
         return np.flatnonzero(mask)
 
     @property
-    def planes_nbytes(self) -> int:
-        return sum(h.nbytes for h in self.hashers)
-
-    @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in self.arrays) + self.planes_nbytes
+        return sum(a.nbytes for a in self.arrays) + self.planes.nbytes

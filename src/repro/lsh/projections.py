@@ -5,80 +5,37 @@ Each of the M hash functions is h_i(x) = 1[w_i · x > 0] with w_i a random
 Gaussian direction; P[h(u) = h(v)] = 1 − θ(u,v)/π (Eq. 2), so keys of
 similar vectors share long prefixes with high probability (Lemma 4.2).
 
-Seeds are derived from (base_seed, cluster_id, array_id) via numpy's
-SeedSequence so the driver-side NumPy build and the distributed Spark
-build generate bit-identical projections.
+Slice h of a core model's planes is seeded by (base_seed, group, h)
+through numpy's SeedSequence, so the driver-side NumPy build and the
+distributed Spark build generate bit-identical projections. The draw is
+sequential, so the M-row slice is the first M rows of any longer draw
+from the same seed: a core model with a shorter hashkey can hash with a
+``[:, :M]`` view of a longer tensor (the prefix property LIDER uses to
+give every in-cluster retriever one shared tensor).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.lsh.hashkeys import key_length_check, pack_bits
+from repro.lsh.hashkeys import key_length_check
 
 
-class RandomHyperplanes:
-    """One compound LSH function G = (h_1..h_M) for cosine similarity.
-
-    Plane matrices are memoised per (dim, seed_key) at the maximum key
-    length and sliced to M, so core models sharing a seed group (all of
-    LIDER's in-cluster retrievers) share ONE physical set of hyperplanes
-    regardless of their per-cluster hashkey lengths — numpy views, no
-    copies.
-    """
-
-    _PLANE_CACHE: dict[tuple, np.ndarray] = {}
-
-    def __init__(self, dim: int, m: int, seed_key: tuple[int, ...]):
-        if dim <= 0:
-            raise ValueError("dim must be positive")
-        from repro.lsh.hashkeys import MAX_BITS
-
-        self.dim = dim
-        self.m = key_length_check(m)
-        self.seed_key = tuple(int(s) for s in seed_key)
-        cache_key = (dim, self.seed_key)
-        full = self._PLANE_CACHE.get(cache_key)
-        if full is None:
-            # SeedSequence wants non-negative ints; shift so group=-1 (the
-            # centroids retriever) is representable.
-            g = np.random.default_rng([s + 2**31 for s in self.seed_key])
-            # (MAX_BITS, dim): row i is hyperplane normal w_i.
-            full = g.standard_normal((MAX_BITS, dim)).astype(np.float32)
-            self._PLANE_CACHE[cache_key] = full
-        self.planes = full[: self.m]
-
-    def bits(self, x: np.ndarray) -> np.ndarray:
-        """(n, d) or (d,) → (n, M) or (M,) binary hash values."""
-        x = np.asarray(x, dtype=np.float32)
-        single = x.ndim == 1
-        proj = np.atleast_2d(x) @ self.planes.T
-        b = (proj > 0).astype(np.uint8)
-        return b[0] if single else b
-
-    def keys(self, x: np.ndarray) -> np.ndarray:
-        """(n, d) or (d,) → packed uint64 hashkeys ((n,) or scalar)."""
-        b = np.atleast_2d(self.bits(x))
-        k = pack_bits(b)
-        return k[0] if np.asarray(x).ndim == 1 else k
-
-    def projections(self, x: np.ndarray) -> np.ndarray:
-        """Raw signed projections w_i · x — used by multi-probe LSH to rank
-        which bits are least confident."""
-        return np.atleast_2d(np.asarray(x, dtype=np.float32)) @ self.planes.T
-
-    @property
-    def nbytes(self) -> int:
-        return self.planes.nbytes
-
-
-def make_projection_family(
+def hyperplanes(
     dim: int, m: int, h: int, *, base_seed: int = 1234, group: int = 0
-) -> list[RandomHyperplanes]:
-    """H independent compound LSH functions for one core model.
+) -> np.ndarray:
+    """(H, M, dim) float32 hyperplane normals: row i of slice h is w_i of
+    compound function h.
 
-    ``group`` distinguishes core models (e.g. cluster id, or -1 for the
-    centroids retriever) so every core model hashes with its own planes.
+    ``group`` distinguishes core models (e.g. -1 for the centroids
+    retriever) so every core model hashes with its own planes.
     """
-    return [
-        RandomHyperplanes(dim, m, seed_key=(base_seed, group, i)) for i in range(h)
-    ]
+    if dim <= 0:
+        raise ValueError("dim must be positive")
+    key_length_check(m)
+    out = np.empty((h, m, dim), dtype=np.float32)
+    for i in range(h):
+        # SeedSequence wants non-negative ints; shift so group=-1 (the
+        # centroids retriever) is representable.
+        g = np.random.default_rng([s + 2**31 for s in (base_seed, group, i)])
+        out[i] = g.standard_normal((m, dim))
+    return out

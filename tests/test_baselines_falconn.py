@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.falconn import MultiProbeLSHIndex
+from repro.lsh.hashkeys import pack_bits
 from repro.metrics import recall_at_k
 
 
@@ -24,8 +25,8 @@ class TestBuild:
         assert fitted._m_bits == int(np.ceil(np.log2(corpus_small.n)))
 
     def test_bucket_keys_match_hashers(self, fitted, corpus_small):
-        hasher, table = fitted.hashers[0], fitted.tables[0]
-        keys = hasher.keys(corpus_small.emb)
+        keys = pack_bits((corpus_small.emb @ fitted.planes[0].T) > 0)
+        table = fitted.tables[0]
         for kv, members in list(table.items())[:20]:
             assert (keys[members] == kv).all()
 

@@ -14,15 +14,15 @@ def fitted(corpus_small):
 
 class TestBuild:
     def test_array_count_and_sorting(self, fitted):
-        assert len(fitted.arrays) == 8
-        for arr in fitted.arrays:
+        assert len(fitted.esklsh.arrays) == 8
+        for arr in fitted.esklsh.arrays:
             assert (np.diff(arr.keys.astype(np.int64)) >= 0).all()
 
     def test_default_bits_log2_n(self, fitted, corpus_small):
         assert fitted._m_bits == int(np.ceil(np.log2(corpus_small.n)))
 
     def test_arrays_cover_corpus(self, fitted, corpus_small):
-        for arr in fitted.arrays:
+        for arr in fitted.esklsh.arrays:
             assert np.array_equal(np.sort(arr.rows), np.arange(corpus_small.n))
 
 
@@ -44,8 +44,8 @@ class TestExpansion:
         import heapq
 
         heap, dists = [], []
-        for a_idx, (hasher, arr) in enumerate(zip(fitted.hashers, fitted.arrays)):
-            qkey = np.uint64(hasher.keys(q))
+        esk = fitted.esklsh
+        for a_idx, (qkey, arr) in enumerate(zip(esk.query_keys(q), esk.arrays)):
             entry = int(np.searchsorted(arr.keys, qkey))
             budget = 150
             lo, hi = max(0, entry - budget), min(len(arr), entry + budget)

@@ -95,6 +95,29 @@ class TestBuild:
         b = CoreModel(CoreModelConfig(h=2, group=1)).fit(corpus_small.emb)
         assert not np.array_equal(a.esklsh.arrays[0].keys, b.esklsh.arrays[0].keys)
 
+    def test_shared_planes_view_equals_own_draw(self, corpus_small):
+        """Given a longer tensor of its seed group, a model hashes with a
+        view of it and builds what it builds with its own planes."""
+        cfg = CoreModelConfig(h=3)
+        shared = cfg.hyperplanes(corpus_small.dim, 100 * corpus_small.n)
+        a = CoreModel(cfg).fit(corpus_small.emb, planes=shared)
+        b = CoreModel(cfg).fit(corpus_small.emb)
+        assert np.shares_memory(a.esklsh.planes, shared)
+        assert np.array_equal(a.esklsh.planes, b.esklsh.planes)
+        for arr_a, arr_b in zip(a.esklsh.arrays, b.esklsh.arrays, strict=True):
+            assert np.array_equal(arr_a.keys, arr_b.keys)
+            assert np.array_equal(arr_a.rows, arr_b.rows)
+
+    def test_planes_that_cannot_hash_raise(self, corpus_small):
+        cfg = CoreModelConfig(h=3)
+        d, n = corpus_small.dim, corpus_small.n
+        too_short = cfg.hyperplanes(d, n // 100)
+        wrong_h = CoreModelConfig(h=2).hyperplanes(d, n)
+        wrong_dim = cfg.hyperplanes(d + 1, n)
+        for planes in (too_short, wrong_h, wrong_dim):
+            with pytest.raises(ValueError, match="cannot hash"):
+                CoreModel(cfg).fit(corpus_small.emb, planes=planes)
+
 
 class TestPredictLocations:
     def test_fast_path_matches_reference(self, core_model_small, queries_small):

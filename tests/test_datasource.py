@@ -104,6 +104,19 @@ class TestReaderPlanning:
         with pytest.raises(ValueError):
             LiderReader({})
 
+    def test_wrong_dimension_query_raises(self, saved_index, queries_small):
+        path, _ = saved_index
+        with pytest.raises(ValueError, match="shape"):
+            self._reader(path, query=queries_small.emb[0][:-1]).partitions()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_raises(self, saved_index, queries_small, bad):
+        path, _ = saved_index
+        q = queries_small.emb[0].copy()
+        q[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            self._reader(path, query=q).partitions()
+
 
 class TestReadEnd2End:
     def test_search_matches_in_memory_lider(

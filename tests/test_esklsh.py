@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 from repro.lsh.esklsh import ESKLSH, SortedKeyArray, expansion_window
+from repro.lsh.hashkeys import pack_bits
+from repro.lsh.projections import hyperplanes
 
 
 class TestExpansionWindow:
@@ -52,9 +54,6 @@ class TestSortedKeyArray:
     def test_entry_location_above_max_clipped(self):
         assert self._arr().entry_location(100) == 4
 
-    def test_window_rows(self):
-        assert self._arr().window_rows(2, 3).tolist() == [1, 2, 3]
-
     def test_misaligned_raises(self):
         with pytest.raises(ValueError):
             SortedKeyArray(np.array([1], dtype=np.uint64), np.array([1, 2]))
@@ -72,7 +71,7 @@ class TestSortedKeyArray:
 class TestESKLSH:
     @pytest.fixture(scope="class")
     def index(self, corpus_small):
-        return ESKLSH(corpus_small.dim, m=14, h=4, group=1).fit(corpus_small.emb)
+        return ESKLSH(hyperplanes(corpus_small.dim, 14, 4, group=1)).fit(corpus_small.emb)
 
     def test_array_count(self, index):
         assert len(index.arrays) == 4
@@ -86,8 +85,8 @@ class TestESKLSH:
             assert np.array_equal(np.sort(arr.rows), np.arange(corpus_small.n))
 
     def test_keys_match_hashers(self, index, corpus_small):
-        for hasher, arr in zip(index.hashers, index.arrays):
-            keys = hasher.keys(corpus_small.emb)
+        for planes, arr in zip(index.planes, index.arrays):
+            keys = pack_bits((corpus_small.emb @ planes.T) > 0)
             assert np.array_equal(np.sort(keys), arr.keys)
 
     def test_stable_tie_break_by_row(self, index):
@@ -100,10 +99,10 @@ class TestESKLSH:
         assert qk.shape == (4,) and qk.dtype == np.uint64
 
     def test_query_keys_match_per_hasher(self, index, corpus_small):
-        q = corpus_small.emb[3]
-        qk = index.query_keys(q)
-        for i, hasher in enumerate(index.hashers):
-            assert qk[i] == hasher.keys(q)
+        # A corpus row hashes to the key its arrays store for it.
+        qk = index.query_keys(corpus_small.emb[3])
+        for key, arr in zip(qk, index.arrays):
+            assert arr.keys[arr.rows == 3] == key
 
     def test_candidate_rows_dedup(self, index):
         locs = np.zeros(4, dtype=np.int64)
@@ -131,7 +130,7 @@ class TestESKLSH:
 
     def test_invalid_h_raises(self):
         with pytest.raises(ValueError):
-            ESKLSH(8, 10, 0)
+            ESKLSH(np.zeros((0, 10, 8), dtype=np.float32))
 
     def test_nbytes_counts_arrays_and_planes(self, index, corpus_small):
         # m=14 bits -> uint16 keys (2B) + int32 rows (4B)

@@ -96,6 +96,24 @@ class TestSearch:
         r_hi = recall_at_k([hi.search(q, 100)[0] for q in queries_small.emb], truth_small, 100)
         assert r_hi >= r_lo
 
+    def test_wrong_dimension_query_raises(self, lider_small, queries_small):
+        q = queries_small.emb[0]
+        for bad in (q[:-1], np.append(q, 0.0), queries_small.emb[:2]):
+            with pytest.raises(ValueError, match="shape"):
+                lider_small.search(bad, 10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_raises(self, lider_small, queries_small, bad):
+        q = queries_small.emb[0].copy()
+        q[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            lider_small.search(q, 10)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_raises(self, lider_small, queries_small, k):
+        with pytest.raises(ValueError, match="k must be"):
+            lider_small.search(queries_small.emb[0], k)
+
     def test_custom_ids_propagate(self, corpus_small, clustered_small):
         cents, assign = clustered_small
         ids = np.arange(corpus_small.n) + 10_000
@@ -113,18 +131,16 @@ class TestMemory:
         parts = (
             lider_small.report.stage1_bytes
             + lider_small.centroid_retriever.nbytes
-            + sum(cm.nbytes - cm.planes_nbytes for cm in irs)
-            + max(cm.planes_nbytes for cm in irs)
+            + sum(cm.nbytes - cm.esklsh.planes.nbytes for cm in irs)
+            + lider_small.planes.nbytes
         )
         assert total == parts
 
     def test_in_cluster_planes_physically_shared(self, lider_small):
-        # All IRs slice the same cached hyperplane matrices (numpy views).
-        irs = list(lider_small.in_cluster.values())
-        base0 = irs[0].esklsh.hashers[0].planes.base
-        assert base0 is not None
-        for cm in irs[1:]:
-            assert cm.esklsh.hashers[0].planes.base is base0
+        # Every IR hashes with a view of the index's one plane tensor, drawn
+        # by this build (a cold one when the test runs alone).
+        for cm in lider_small.in_cluster.values():
+            assert np.shares_memory(cm.esklsh.planes, lider_small.planes)
 
     def test_in_cluster_retrievers_dominate(self, lider_small):
         """Table-5 observation: the IRs take the major fraction of the index."""

@@ -2,104 +2,84 @@
 import numpy as np
 import pytest
 
-from repro.lsh.projections import RandomHyperplanes, make_projection_family
+from repro.lsh.hashkeys import MAX_BITS, pack_bits, unpack_bits
+from repro.lsh.projections import hyperplanes
 
 
 def _unit(v):
     return v / np.linalg.norm(v)
 
 
-class TestRandomHyperplanes:
-    def test_deterministic_in_seed_key(self):
-        a = RandomHyperplanes(16, 8, (1, 2, 3))
-        b = RandomHyperplanes(16, 8, (1, 2, 3))
-        assert np.array_equal(a.planes, b.planes)
+class TestFamily:
+    """``hyperplanes()``: the (H, M, d) planes of H compound functions."""
 
-    def test_different_seed_keys_differ(self):
-        a = RandomHyperplanes(16, 8, (1, 2, 3))
-        b = RandomHyperplanes(16, 8, (1, 2, 4))
-        assert not np.array_equal(a.planes, b.planes)
+    def test_family_size(self):
+        p = hyperplanes(8, 6, h=5)
+        assert p.shape == (5, 6, 8) and p.dtype == np.float32
+
+    def test_nbytes_positive(self):
+        assert hyperplanes(8, 6, h=2).nbytes == 2 * 6 * 8 * 4
+
+    def test_group_deterministic(self):
+        a = hyperplanes(16, 8, 3, base_seed=1, group=2)
+        b = hyperplanes(16, 8, 3, base_seed=1, group=2)
+        assert np.array_equal(a, b)
+
+    def test_family_members_independent(self):
+        p = hyperplanes(8, 6, h=3)
+        assert not np.array_equal(p[0], p[1])
+        assert not np.array_equal(p[1], p[2])
+
+    def test_groups_distinct(self):
+        a = hyperplanes(8, 6, 2, group=0)
+        assert not np.array_equal(a, hyperplanes(8, 6, 2, group=1))
+        assert not np.array_equal(a, hyperplanes(8, 6, 2, base_seed=99, group=0))
 
     def test_negative_group_supported(self):
         # The centroids retriever uses group=-1.
-        RandomHyperplanes(8, 4, (1234, -1, 0))
-
-    def test_bits_shape_batch(self):
-        h = RandomHyperplanes(8, 12, (0, 0, 0))
-        x = np.random.default_rng(0).standard_normal((5, 8))
-        assert h.bits(x).shape == (5, 12)
-
-    def test_bits_shape_single(self):
-        h = RandomHyperplanes(8, 12, (0, 0, 0))
-        assert h.bits(np.ones(8)).shape == (12,)
-
-    def test_keys_scalar_for_single_vector(self):
-        h = RandomHyperplanes(8, 12, (0, 0, 0))
-        k = h.keys(np.ones(8))
-        assert np.isscalar(k) or k.shape == ()
-
-    def test_keys_match_bits(self):
-        from repro.lsh.hashkeys import pack_bits
-
-        h = RandomHyperplanes(8, 10, (0, 1, 2))
-        x = np.random.default_rng(1).standard_normal((7, 8))
-        assert np.array_equal(h.keys(x), pack_bits(h.bits(x)))
-
-    def test_identical_vectors_identical_keys(self):
-        h = RandomHyperplanes(16, 20, (5, 5, 5))
-        v = np.random.default_rng(2).standard_normal(16)
-        assert h.keys(v) == h.keys(v.copy())
-
-    def test_antipodal_vectors_opposite_bits(self):
-        h = RandomHyperplanes(16, 20, (5, 5, 5))
-        v = np.random.default_rng(3).standard_normal(16)
-        b1, b2 = h.bits(v), h.bits(-v)
-        # Projections are never exactly zero for random data.
-        assert np.array_equal(b1, 1 - b2)
+        p = hyperplanes(8, 4, 2, group=-1)
+        assert not np.array_equal(p, hyperplanes(8, 4, 2, group=0))
 
     def test_invalid_dim_raises(self):
         with pytest.raises(ValueError):
-            RandomHyperplanes(0, 8, (0, 0, 0))
+            hyperplanes(0, 8, 2)
+
+    @pytest.mark.parametrize("group", [-1, 0, 10_000])
+    def test_slice_is_prefix_of_seeded_draw(self, group):
+        """Slice i is the first M rows of the (base_seed, group, i) draw, so
+        a shorter hashkey's planes are a view of a longer tensor's."""
+        p = hyperplanes(24, 12, 3, base_seed=1234, group=group)
+        for i in range(3):
+            g = np.random.default_rng([s + 2**31 for s in (1234, group, i)])
+            full = g.standard_normal((MAX_BITS, 24)).astype(np.float32)
+            assert np.array_equal(p[i], full[:12])
+
+    def test_bits_and_keys(self):
+        """Bit i of key h is the sign of w_i · x under slice h, packed
+        MSB-first; equal vectors get equal keys, antipodal ones
+        complementary bits."""
+        p = hyperplanes(16, 20, 3, group=5)
+        v = np.random.default_rng(3).standard_normal(16).astype(np.float32)
+        bits = (p @ v) > 0
+        assert bits.shape == (3, 20)
+        # Projections are never exactly zero for random data.
+        assert np.array_equal((p @ -v) > 0, ~bits)
+        keys = pack_bits(bits)
+        assert keys.shape == (3,) and np.array_equal(unpack_bits(keys, 20), bits)
+        assert np.array_equal(pack_bits((p @ v.copy()) > 0), keys)
 
     def test_collision_probability_monotone_in_angle(self):
         """Eq. 2: P[h(u)=h(v)] = 1 − θ/π — closer vectors collide more."""
         g = np.random.default_rng(7)
-        dim, m = 32, 2000  # many hash bits → tight empirical estimate
-        h = RandomHyperplanes(dim, 50, (9, 9, 9))
-        planes = g.standard_normal((m, dim)).astype(np.float32)
+        dim = 32
+        planes = hyperplanes(dim, 50, 40, group=9).reshape(-1, dim)  # 2000 bits
         u = _unit(g.standard_normal(dim))
+        w = g.standard_normal(dim)
+        w = _unit(w - (w @ u) * u)  # orthogonal to u
         rates = []
-        for noise in (0.1, 0.5, 2.0):
-            v = _unit(u + noise * g.standard_normal(dim))
-            bu = (planes @ u) > 0
-            bv = (planes @ v) > 0
-            theta = np.arccos(np.clip(u @ v, -1, 1))
-            rate = (bu == bv).mean()
+        for theta in (0.1 * np.pi, 0.3 * np.pi, 0.5 * np.pi):
+            v = np.cos(theta) * u + np.sin(theta) * w
+            rate = (((planes @ u) > 0) == ((planes @ v) > 0)).mean()
             rates.append(rate)
             assert rate == pytest.approx(1 - theta / np.pi, abs=0.05)
         assert rates[0] > rates[1] > rates[2]
-
-
-class TestFamily:
-    def test_family_size(self):
-        fam = make_projection_family(8, 6, h=5)
-        assert len(fam) == 5
-
-    def test_family_members_independent(self):
-        fam = make_projection_family(8, 6, h=3)
-        assert not np.array_equal(fam[0].planes, fam[1].planes)
-        assert not np.array_equal(fam[1].planes, fam[2].planes)
-
-    def test_groups_distinct(self):
-        a = make_projection_family(8, 6, h=2, group=0)
-        b = make_projection_family(8, 6, h=2, group=1)
-        assert not np.array_equal(a[0].planes, b[0].planes)
-
-    def test_group_deterministic(self):
-        a = make_projection_family(8, 6, h=2, group=3)
-        b = make_projection_family(8, 6, h=2, group=3)
-        assert np.array_equal(a[1].planes, b[1].planes)
-
-    def test_nbytes_positive(self):
-        fam = make_projection_family(8, 6, h=2)
-        assert fam[0].nbytes == 6 * 8 * 4

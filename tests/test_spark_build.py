@@ -57,6 +57,8 @@ class TestEndToEnd:
         assert driver.in_cluster.keys() == dist.in_cluster.keys()
         for j, cm in driver.in_cluster.items():
             other = dist.in_cluster[j]
+            assert np.shares_memory(cm.esklsh.planes, driver.planes)
+            assert np.shares_memory(other.esklsh.planes, dist.planes)
             assert np.array_equal(cm.ids, other.ids)
             for arr_a, arr_b in zip(cm.esklsh.arrays, other.esklsh.arrays, strict=True):
                 assert np.array_equal(arr_a.keys, arr_b.keys)
