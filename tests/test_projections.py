@@ -2,12 +2,68 @@
 import numpy as np
 import pytest
 
-from repro.lsh.hashkeys import MAX_BITS, pack_bits, unpack_bits
+from repro.lsh.hashkeys import MAX_BITS, pack_bits
 from repro.lsh.projections import hyperplanes
 
 
 def _unit(v):
     return v / np.linalg.norm(v)
+
+
+def _bits(planes, x):
+    """Sign bits of x under one (M, d) slice: (M,) for a vector, (n, M)
+    for a batch — the bits ESK-LSH packs into hashkeys."""
+    return (np.asarray(x, dtype=np.float32) @ planes.T) > 0
+
+
+def _keys(planes, x):
+    bits = _bits(planes, x)
+    return pack_bits(bits) if bits.ndim == 2 else pack_bits(bits[None])[0]
+
+
+class TestRandomHyperplanes:
+    """Per-slice contract of ``hyperplanes()``: slice h is the random
+    hyperplane function seeded by (base_seed, group, h)."""
+
+    def test_deterministic_in_seed_key(self):
+        # Slice 3 depends only on (1, 2, 3), not on how many slices are drawn.
+        a = hyperplanes(16, 8, 4, base_seed=1, group=2)[3]
+        b = hyperplanes(16, 8, 6, base_seed=1, group=2)[3]
+        assert np.array_equal(a, b)
+
+    def test_different_seed_keys_differ(self):
+        p = hyperplanes(16, 8, 5, base_seed=1, group=2)
+        assert not np.array_equal(p[3], p[4])
+
+    def test_bits_shape_batch(self):
+        p = hyperplanes(8, 12, 1, base_seed=0, group=0)[0]
+        x = np.random.default_rng(0).standard_normal((5, 8))
+        assert _bits(p, x).shape == (5, 12)
+
+    def test_bits_shape_single(self):
+        p = hyperplanes(8, 12, 1, base_seed=0, group=0)[0]
+        assert _bits(p, np.ones(8)).shape == (12,)
+
+    def test_keys_scalar_for_single_vector(self):
+        p = hyperplanes(8, 12, 1, base_seed=0, group=0)[0]
+        k = _keys(p, np.ones(8))
+        assert np.isscalar(k) or k.shape == ()
+
+    def test_keys_match_bits(self):
+        p = hyperplanes(8, 10, 3, base_seed=0, group=1)[2]
+        x = np.random.default_rng(1).standard_normal((7, 8))
+        assert np.array_equal(_keys(p, x), pack_bits(_bits(p, x)))
+
+    def test_identical_vectors_identical_keys(self):
+        p = hyperplanes(16, 20, 6, base_seed=5, group=5)[5]
+        v = np.random.default_rng(2).standard_normal(16)
+        assert _keys(p, v) == _keys(p, v.copy())
+
+    def test_antipodal_vectors_opposite_bits(self):
+        p = hyperplanes(16, 20, 6, base_seed=5, group=5)[5]
+        v = np.random.default_rng(3).standard_normal(16)
+        # Projections are never exactly zero for random data.
+        assert np.array_equal(_bits(p, v), ~_bits(p, -v))
 
 
 class TestFamily:
@@ -53,20 +109,6 @@ class TestFamily:
             g = np.random.default_rng([s + 2**31 for s in (1234, group, i)])
             full = g.standard_normal((MAX_BITS, 24)).astype(np.float32)
             assert np.array_equal(p[i], full[:12])
-
-    def test_bits_and_keys(self):
-        """Bit i of key h is the sign of w_i · x under slice h, packed
-        MSB-first; equal vectors get equal keys, antipodal ones
-        complementary bits."""
-        p = hyperplanes(16, 20, 3, group=5)
-        v = np.random.default_rng(3).standard_normal(16).astype(np.float32)
-        bits = (p @ v) > 0
-        assert bits.shape == (3, 20)
-        # Projections are never exactly zero for random data.
-        assert np.array_equal((p @ -v) > 0, ~bits)
-        keys = pack_bits(bits)
-        assert keys.shape == (3,) and np.array_equal(unpack_bits(keys, 20), bits)
-        assert np.array_equal(pack_bits((p @ v.copy()) > 0), keys)
 
     def test_collision_probability_monotone_in_angle(self):
         """Eq. 2: P[h(u)=h(v)] = 1 − θ/π — closer vectors collide more."""
