@@ -1,4 +1,4 @@
-"""ANN search through the "lider" DataSource: the centroids retriever
+"""ANN search through the "lider" DataSource: an exact centroid scan
 prunes partitions at plan time; in-cluster retrievers run inside the scan;
 Catalyst's sort-limit merges the per-cluster top-k.
 

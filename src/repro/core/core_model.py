@@ -90,8 +90,17 @@ def fold_rmi(rescaler: KeyRescaler, rmi: SimplifiedRMI) -> np.ndarray:
     return np.stack([np.clip(a, -_BIG, _BIG), x, b])
 
 
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``min(k, scores.size)`` largest scores, descending."""
+    kk = min(k, scores.size)
+    if kk == 0:
+        return np.empty(0, dtype=np.int64)
+    top = np.argpartition(-scores, kk - 1)[:kk]
+    return top[np.argsort(-scores[top])]
+
+
 class CoreModel:
-    """Index over one embedding collection (a cluster, or the centroids)."""
+    """Index over one embedding collection (one cluster in LIDER)."""
 
     def __init__(self, config: CoreModelConfig):
         self.config = config
@@ -201,12 +210,8 @@ class CoreModel:
         """Top-km (external ids, cosine scores), scores descending."""
         q = np.asarray(q, dtype=np.float32)
         rows = self.candidate_rows(q, km)
-        if rows.size == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
         scores = self.emb[rows] @ q
-        kk = min(km, rows.size)
-        top = np.argpartition(-scores, kk - 1)[:kk]
-        top = top[np.argsort(-scores[top])]
+        top = top_k(scores, km)
         return self.ids[rows[top]], scores[top]
 
     # ------------------------------------------------------------------ stats

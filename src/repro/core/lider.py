@@ -1,12 +1,12 @@
 """LIDER — the clustering-based two-layer learned index (paper §3.2, §3.3.2).
 
-Build (staged exactly as Table 5 reports):
+Build (staged as Table 5 reports; the paper's Stage 2, a learned
+*centroids retriever*, is not built — see :class:`CentroidScan`):
   * Stage 1 — spherical k-means clusters the corpus into ``c`` groups;
-  * Stage 2 — one core model over the centroids (the *centroids retriever*);
   * Stage 3 — one core model per cluster (the *in-cluster retrievers*),
     built in a thread pool (clusters are independent).
 
-Search: centroids retriever → top-``c0`` clusters → in-cluster retrievers
+Search: exact centroid scan → top-``c0`` clusters → in-cluster retrievers
 each return top-k with exact cosine scores → merge → global top-k. One
 query runs its clusters sequentially: a per-query thread pool (§3.3.2's
 parallel retrieval) measured slower at this scale. The IR build stays
@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.core_model import CoreModel, CoreModelConfig
+from repro.core.core_model import CoreModel, CoreModelConfig, top_k
 from repro.core.kmeans import spherical_kmeans
 
-CENTROID_GROUP = -1  # projection-seed group id of the centroids retriever
+CENTROID_GROUP = -1  # seed group of the paper's learned CR (Table-5 ablation only)
 # All in-cluster retrievers share one projection-seed group: clusters index
 # disjoint data, so one (H, M, d) hyperplane tensor, drawn once per index at
 # the largest cluster's hashkey length M (``LIDER.planes``), serves every
@@ -40,6 +40,41 @@ def check_query(q: np.ndarray, dim: int) -> np.ndarray:
     if not np.isfinite(q).all():
         raise ValueError("query has non-finite values")
     return q
+
+
+def check_corpus(emb: np.ndarray, ids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``emb`` as contiguous float32 rows and ``ids`` as int64 (row positions
+    when None); ValueError for non-finite rows, ids that do not align with
+    the rows, or duplicate ids."""
+    emb = np.ascontiguousarray(emb, dtype=np.float32)
+    n = emb.shape[0]
+    ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, np.int64)
+    if ids.shape != (n,):
+        raise ValueError(f"ids have shape {ids.shape}, expected ({n},) to align with the rows")
+    bad = np.flatnonzero(~np.isfinite(emb).all(axis=1))
+    if bad.size:
+        raise ValueError(f"corpus rows {bad[:5].tolist()} have non-finite values")
+    if np.unique(ids).size != n:
+        raise ValueError("corpus ids are not unique")
+    return emb, ids
+
+
+@dataclass
+class CentroidScan:
+    """Top clusters by an exact ``centroids @ q`` scan, in place of the paper's
+    learned centroids retriever (EXPERIMENTS.md, "Deviation: exact centroid scan")."""
+
+    emb: np.ndarray  # (c, d) unit-norm centroids
+
+    def search(self, q: np.ndarray, km: int) -> tuple[np.ndarray, np.ndarray]:
+        """Top-km (cluster ids, cosine scores), scores descending."""
+        scores = self.emb @ q
+        top = top_k(scores, km)
+        return top, scores[top]
+
+    def candidate_rows(self, q: np.ndarray, km: int) -> np.ndarray:
+        """Every centroid: the scan scores them all."""
+        return np.arange(self.emb.shape[0])
 
 
 @dataclass
@@ -75,9 +110,9 @@ class LIDERConfig:
         return c, min(c0, c)
 
     def core_config(self, group: int) -> CoreModelConfig:
-        """Core-model config of the centroids retriever (``CENTROID_GROUP``,
-        width ``w_centroids``) or of an in-cluster retriever (any other
-        group, width ``w_incluster``)."""
+        """Core-model config of an in-cluster retriever (width
+        ``w_incluster``), or with ``CENTROID_GROUP`` of the paper's learned
+        centroids retriever (width ``w_centroids``; Table-5 ablation only)."""
         return CoreModelConfig(
             h=self.h,
             width=self.w_centroids if group == CENTROID_GROUP else self.w_incluster,
@@ -91,10 +126,8 @@ class BuildReport:
     """Per-stage wall-clock and post-stage index memory (Table 5 rows)."""
 
     stage1_seconds: float = 0.0
-    stage2_seconds: float = 0.0
     stage3_seconds: float = 0.0
     stage1_bytes: int = 0
-    stage2_bytes: int = 0
     stage3_bytes: int = 0
 
 
@@ -105,10 +138,14 @@ class LIDER:
         self.config = config or LIDERConfig()
         self.centroids: np.ndarray | None = None  # (c, d)
         self.assignments: np.ndarray | None = None  # (n,)
-        self.centroid_retriever: CoreModel | None = None
         self.in_cluster: dict[int, CoreModel] = {}
         self.planes: np.ndarray | None = None  # (H, M, d) shared by the IRs
         self.report = BuildReport()
+
+    @property
+    def centroid_retriever(self) -> CentroidScan:
+        """Picks the clusters a query probes."""
+        return CentroidScan(self.centroids)
 
     # ------------------------------------------------------------------ build
     def fit(
@@ -119,14 +156,13 @@ class LIDER:
         assignments: np.ndarray | None = None,
         centroids: np.ndarray | None = None,
     ) -> "LIDER":
-        """Build all three stages.
+        """Build Stages 1 and 3 over a corpus ``check_corpus`` accepts.
 
         ``assignments``/``centroids`` may be injected (the Spark build path
         clusters with pyspark.ml) — Stage 1 is then skipped but still timed.
         """
-        emb = np.ascontiguousarray(emb, dtype=np.float32)
+        emb, ids = check_corpus(emb, ids)
         n = emb.shape[0]
-        ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, np.int64)
         cfg = self.config
         c, _ = cfg.resolve(n)
 
@@ -143,13 +179,6 @@ class LIDER:
 
         t0 = time.perf_counter()
         c_actual = self.centroids.shape[0]
-        self.centroid_retriever = CoreModel(cfg.core_config(CENTROID_GROUP)).fit(
-            self.centroids, np.arange(c_actual, dtype=np.int64)
-        )
-        self.report.stage2_seconds = time.perf_counter() - t0
-        self.report.stage2_bytes = self.report.stage1_bytes + self.centroid_retriever.nbytes
-
-        t0 = time.perf_counter()
         members = {
             j: np.flatnonzero(self.assignments == j) for j in range(c_actual)
         }
@@ -176,10 +205,12 @@ class LIDER:
     def search(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Top-k (external ids, cosine scores) for one query embedding.
 
-        Raises ValueError for ``k < 1`` or a query that is not a finite
-        vector of the corpus dimension.
+        Returns ``min(k, candidates)`` ids: the candidates are the rows the
+        probed clusters' windows reach, every row once r0·k covers a
+        cluster (e.g. k ≥ n). Raises ValueError for ``k < 1`` or a query
+        that is not a finite vector of the corpus dimension.
         """
-        if self.centroid_retriever is None:
+        if self.centroids is None:
             raise RuntimeError("search before fit")
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
@@ -194,11 +225,7 @@ class LIDER:
             return np.empty(0, np.int64), np.empty(0, np.float32)
         all_ids = np.concatenate([p[0] for p in parts])
         all_scores = np.concatenate([p[1] for p in parts])
-        kk = min(k, all_ids.size)
-        if kk == 0:
-            return all_ids, all_scores
-        top = np.argpartition(-all_scores, kk - 1)[:kk]
-        top = top[np.argsort(-all_scores[top])]
+        top = top_k(all_scores, k)
         return all_ids[top], all_scores[top]
 
     # ------------------------------------------------------------------ stats
@@ -209,10 +236,7 @@ class LIDER:
         the in-cluster plane bytes are that one tensor's, not a sum over
         the views.
         """
-        total = self.report.stage1_bytes
-        if self.centroid_retriever is not None:
-            total += self.centroid_retriever.nbytes
-        total += sum(
+        total = self.report.stage1_bytes + sum(
             cm.nbytes - cm.esklsh.planes.nbytes for cm in self.in_cluster.values()
         )
         if self.planes is not None:

@@ -27,7 +27,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
 from repro.core.core_model import CoreModel, CoreModelConfig
-from repro.core.lider import CENTROID_GROUP, IN_CLUSTER_GROUP, LIDER, LIDERConfig
+from repro.core.lider import IN_CLUSTER_GROUP, LIDER, LIDERConfig, check_corpus
 from repro.lsh.esklsh import SortedKeyArray
 
 FIT_SCHEMA = (
@@ -43,7 +43,7 @@ def cluster_with_spark_kmeans(
 
     KMeans in pyspark.ml is Euclidean; on unit-norm embeddings the argmin
     matches spherical k-means up to centroid normalisation, which we apply
-    before handing centroids to the centroids retriever.
+    before the centroids are scanned to probe clusters.
     """
     from pyspark.ml.clustering import KMeans
     from pyspark.ml.functions import array_to_vector
@@ -96,13 +96,13 @@ def build_lider_spark(
 
     With ``assignments``/``centroids`` given, Stage 1 is skipped (tests use
     this to compare against the driver build on identical clusters).
+    ValueError, before any Spark job, for a corpus ``check_corpus`` rejects.
     """
     from repro.embeddings.corpus import EmbeddingCorpus
     from repro.embeddings.datasets import corpus_to_spark
 
-    emb = np.ascontiguousarray(emb, dtype=np.float32)
+    emb, ids = check_corpus(emb, ids)
     n = emb.shape[0]
-    ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, np.int64)
     config = config or LIDERConfig()
     c, _ = config.resolve(n)
 
@@ -127,9 +127,6 @@ def build_lider_spark(
     lider = LIDER(config)
     lider.centroids = centroids
     lider.assignments = assignments
-    lider.centroid_retriever = CoreModel(config.core_config(CENTROID_GROUP)).fit(
-        centroids, np.arange(centroids.shape[0], dtype=np.int64)
-    )
     order = np.argsort(assignments, kind="stable")
     sizes = np.bincount(assignments, minlength=centroids.shape[0])
     ends = np.cumsum(sizes)

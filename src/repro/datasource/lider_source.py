@@ -4,16 +4,16 @@ Layout written by :func:`save_lider_index`::
 
     <path>/embeddings/cluster_id=<j>/*.parquet   # (id, emb) per cluster
     <path>/index/meta.json                       # config, k defaults
-    <path>/index/centroid_retriever.pkl          # Layer-1 core model
-    <path>/index/cluster_<j>.pkl                 # Layer-2 core models
+    <path>/index/centroids.npy                   # (c, d) float32 centroids
+    <path>/index/cluster_<j>.pkl                 # in-cluster core models
                                                  # (embedding-free: data
                                                  #  stays in Parquet only)
 
 Read path (``spark.read.format("lider")``):
 
 * With ``query`` (JSON-encoded embedding) + ``k`` options, the reader runs
-  the **centroids retriever at planning time** and emits one
-  ``InputPartition`` per target cluster — index-driven partition pruning,
+  the **exact centroid scan at planning time** (``CentroidScan``) and emits
+  one ``InputPartition`` per target cluster — index-driven partition pruning,
   the ANN analogue of predicate pushdown. Executors load their cluster's
   Parquet file + pickled in-cluster retriever, run the core-model search,
   and return (id, cluster_id, score, rank) rows; a plain
@@ -41,7 +41,7 @@ from pyspark.sql.datasource import (
 )
 from pyspark.sql.types import StructType
 
-from repro.core.lider import check_query
+from repro.core.lider import CentroidScan, check_query
 
 SCHEMA_DDL = "id long, cluster_id int, score double, rank int"
 
@@ -76,8 +76,7 @@ def save_lider_index(lider, path: str) -> None:
         stripped.emb = None
         with open(os.path.join(idx_dir, f"cluster_{j}.pkl"), "wb") as f:
             pickle.dump(stripped, f)
-    with open(os.path.join(idx_dir, "centroid_retriever.pkl"), "wb") as f:
-        pickle.dump(lider.centroid_retriever, f)
+    np.save(os.path.join(idx_dir, "centroids.npy"), lider.centroids)
     _, c0 = lider.config.resolve(lider.assignments.shape[0])
     with open(os.path.join(idx_dir, "meta.json"), "w") as f:
         json.dump(
@@ -147,11 +146,10 @@ class LiderReader(DataSourceReader):
         meta = self._meta()
         clusters = meta["clusters"]
         if self.query is not None:
-            with open(os.path.join(self.path, "index", "centroid_retriever.pkl"), "rb") as f:
-                cr = pickle.load(f)
-            self.query = check_query(self.query, cr.emb.shape[1])
+            centroids = np.load(os.path.join(self.path, "index", "centroids.npy"), allow_pickle=False)
+            self.query = check_query(self.query, centroids.shape[1])
             c0 = self.c0 or meta["c0"]
-            targets, _ = cr.search(self.query, km=c0)
+            targets, _ = CentroidScan(centroids).search(self.query, km=c0)
             clusters = [int(j) for j in targets if int(j) in set(clusters)]
         if self.pushed_clusters is not None:
             clusters = [j for j in clusters if j in self.pushed_clusters]

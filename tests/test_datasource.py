@@ -1,6 +1,6 @@
-"""Tests for the "lider" Python DataSource: partition pruning by the
-centroids retriever, cluster_id filter pushdown, and result equality with
-the in-memory index."""
+"""Tests for the "lider" Python DataSource: partition pruning by the exact
+centroid scan, cluster_id filter pushdown, and result equality with the
+in-memory index."""
 import json
 
 import numpy as np
@@ -34,10 +34,14 @@ class TestLayout:
         import os
 
         path, lider = saved_index
-        assert os.path.exists(os.path.join(path, "index", "meta.json"))
-        assert os.path.exists(os.path.join(path, "index", "centroid_retriever.pkl"))
+        idx_dir = os.path.join(path, "index")
+        assert os.path.exists(os.path.join(idx_dir, "meta.json"))
+        centroids = np.load(os.path.join(idx_dir, "centroids.npy"), allow_pickle=False)
+        assert np.array_equal(centroids, lider.centroids)
+        # The in-cluster retrievers are the only pickles: none for the centroids.
+        pickles = {f for f in os.listdir(idx_dir) if f.endswith(".pkl")}
+        assert pickles == {f"cluster_{j}.pkl" for j in lider.in_cluster}
         for j in lider.in_cluster:
-            assert os.path.exists(os.path.join(path, "index", f"cluster_{j}.pkl"))
             assert os.path.isdir(os.path.join(path, "embeddings", f"cluster_id={j}"))
 
     def test_pickles_are_embedding_free(self, saved_index):

@@ -99,6 +99,47 @@ class TestEndToEnd:
         hashkeys = stored.drop(columns="loc").sample(frac=1.0, random_state=0)
         assert_equivalent(got, sql, hashkeys=hashkeys)
 
+    @pytest.mark.parametrize("build", ["driver", "spark"])
+    def test_cluster_probe_matches_duckdb_oracle(
+        self, spark, build, lider_small, spark_built, queries_small
+    ):
+        """centroid_retriever.search(q, c0) == DuckDB's top-c0 centroids by
+        dot product, in order, for every query."""
+        lider = lider_small if build == "driver" else spark_built("permuted")[1]
+        _, c0 = lider.config.resolve(lider.assignments.shape[0])
+        got = spark.createDataFrame(pd.DataFrame(
+            [
+                (qid, rank, int(j))
+                for qid, q in enumerate(queries_small.emb)
+                for rank, j in enumerate(lider.centroid_retriever.search(q, c0)[0])
+            ],
+            columns=["qid", "rank", "cluster_id"],
+        ))
+        centroids = pd.DataFrame({
+            "cluster_id": np.arange(lider.centroids.shape[0]),
+            "cemb": [list(map(float, v)) for v in lider.centroids],
+        })
+        queries = pd.DataFrame({
+            "qid": np.arange(len(queries_small.emb)),
+            "qemb": [list(map(float, v)) for v in queries_small.emb],
+        })
+        sql = f"""
+            SELECT qid, rank, cluster_id FROM (
+                SELECT qid, cluster_id,
+                       ROW_NUMBER() OVER (
+                           PARTITION BY qid ORDER BY list_dot_product(cemb, qemb) DESC
+                       ) - 1 AS rank
+                FROM queries CROSS JOIN centroids
+            ) WHERE rank < {c0}
+        """
+        assert_equivalent(got, sql, centroids=centroids, queries=queries)
+
+    def test_duplicate_ids_raise(self, spark, corpus_small):
+        ids = np.arange(corpus_small.n, dtype=np.int64)
+        ids[9] = ids[4]
+        with pytest.raises(ValueError, match="not unique"):
+            build_lider_spark(spark, corpus_small.emb, ids, config=CFG)
+
     def test_spark_kmeans_build_searches_sensibly(self, spark, corpus_small, queries_small):
         idx = build_lider_spark(spark, corpus_small.emb, config=CFG)
         hits = sum(
