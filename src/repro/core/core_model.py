@@ -13,7 +13,14 @@ R = r0·km on each array → union of candidates → exact scoring → top-km.
 The re-scaler is a min-max map (§5.1) and every RMI model is linear
 (§5.2), so each (re-scaler, model) pair is one affine map of the decimal
 hashkey. ``fold_rmi`` collapses them at build time; the model then keeps
-only stacked (H,) root and (H, W) child parameters.
+only stacked (3, H) root and (3, H, W) child parameters.
+
+The search steps are module-level helpers — ``query_keys`` (hash at the
+shared tensor's full length, then shift), ``rmi_locations``,
+``window_union`` and ``verify`` — that take any number of clusters.
+``CoreModel`` search is their one-cluster case and ``LIDER.search`` runs
+them over all probed clusters at once, on a layout whose slices a core
+model's arrays view.
 """
 from __future__ import annotations
 
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.lsh.esklsh import ESKLSH, SortedKeyArray
+from repro.lsh.esklsh import ESKLSH, key_storage_dtype
 from repro.lsh.projections import hyperplanes
 from repro.rmi.rescale import KeyRescaler
 from repro.rmi.rmi import _BIG, SimplifiedRMI
@@ -99,6 +106,37 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return top[np.argsort(-scores[top])]
 
 
+def rmi_locations(
+    roots: np.ndarray, children: np.ndarray, length, keys: np.ndarray
+) -> np.ndarray:
+    """RMI-predicted locations in [0, length − 1] of (..., H) query keys.
+
+    ``roots`` (..., 3, H) and ``children`` (..., 3, H, W) stack the A, X, B
+    rows of :func:`fold_rmi` — one model's, or one per probed cluster with
+    ``length`` (clusters, 1) — so any number of arrays costs the same ops.
+    """
+    x = keys.astype(np.float64)
+    lmax = length - 1.0
+    a, xm, b = (roots[..., i, :] for i in range(3))
+    root = np.clip(a * (x - xm) + b, 0.0, lmax)
+    # root ≤ L−1, so the child index is < W without a clip.
+    child = (root * children.shape[-1] / length).astype(np.int64)
+    picked = np.take_along_axis(children, child[..., None, :, None], axis=-1)[..., 0]
+    ca, cx, cb = (picked[..., i, :] for i in range(3))
+    pred = ca * (x - cx) + cb
+    return np.clip(np.rint(pred), 0.0, lmax).astype(np.int64)
+
+
+def verify(
+    emb: np.ndarray, ids: np.ndarray, rows: np.ndarray, q: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k of the candidate ``rows`` by exact cosine: (ids, scores),
+    scores descending."""
+    scores = np.take(emb, rows, axis=0) @ q
+    top = top_k(scores, k)
+    return ids[rows[top]], scores[top]
+
+
 class CoreModel:
     """Index over one embedding collection (one cluster in LIDER)."""
 
@@ -107,9 +145,10 @@ class CoreModel:
         self.emb: np.ndarray | None = None  # (n, d) float32 unit rows
         self.ids: np.ndarray | None = None  # (n,) int64 external ids
         self.esklsh: ESKLSH | None = None
-        # Folded RMI parameters (see fold_rmi): (H,) roots, (H, W) children.
-        self.root_a = self.root_x = self.root_b = None
-        self.child_a = self.child_x = self.child_b = None
+        # Folded RMI parameters (see fold_rmi): the A, X, B rows of the
+        # (3, H) roots and the (3, H, W) children.
+        self.roots: np.ndarray | None = None
+        self.children: np.ndarray | None = None
 
     # ------------------------------------------------------------------ build
     def fit(
@@ -120,8 +159,8 @@ class CoreModel:
         planes: np.ndarray | None = None,
     ) -> "CoreModel":
         """Build over ``emb``. ``planes`` is a longer tensor of this config's
-        seed group to hash with a view of (LIDER's shared in-cluster planes);
-        without it the model draws its own."""
+        seed group to hash with the first bits of (LIDER's shared in-cluster
+        planes); without it the model draws its own."""
         emb = np.ascontiguousarray(emb, dtype=np.float32)
         n = emb.shape[0]
         if n == 0:
@@ -133,7 +172,7 @@ class CoreModel:
         if self.ids.shape[0] != n:
             raise ValueError("ids must align with embeddings")
         cfg = self.config
-        self.esklsh = ESKLSH(self._hash_planes(emb.shape[1], n, planes)).fit(emb)
+        self.esklsh = self._esklsh(emb.shape[1], n, planes).fit(emb)
         folded = []
         for arr in self.esklsh.arrays:
             rescaler = KeyRescaler(len(arr), enabled=cfg.rescale)
@@ -141,7 +180,8 @@ class CoreModel:
                 rescaler.fit_transform(arr.keys), np.arange(len(arr), dtype=np.float64)
             )
             folded.append(fold_rmi(rescaler, rmi))
-        self._set_params(folded)
+        p = np.stack(folded, axis=1)  # (3, H, 1 + W)
+        self.roots, self.children = p[:, :, 0].copy(), p[:, :, 1:].copy()
         return self
 
     @classmethod
@@ -150,69 +190,53 @@ class CoreModel:
         config: CoreModelConfig,
         emb: np.ndarray,
         ids: np.ndarray,
-        arrays: list[SortedKeyArray],
-        folded: list[np.ndarray],
+        keys: np.ndarray,
+        rows: np.ndarray,
+        roots: np.ndarray,
+        children: np.ndarray,
         *,
         planes: np.ndarray | None = None,
     ) -> "CoreModel":
-        """Assemble a core model from externally built sorted arrays and
-        their ``fold_rmi`` parameters (Spark build); ``planes`` as in
-        :meth:`fit`."""
+        """Assemble a core model from externally built (H, n) sorted keys and
+        rows and their (3, H) / (3, H, W) folded RMI parameters (e.g. views
+        of a LIDER layout); ``planes`` as in :meth:`fit`."""
         cm = cls(config)
         cm.emb = np.ascontiguousarray(emb, dtype=np.float32)
         cm.ids = np.asarray(ids, dtype=np.int64)
-        cm.esklsh = ESKLSH(cm._hash_planes(cm.emb.shape[1], cm.emb.shape[0], planes))
-        cm.esklsh.arrays = arrays
-        cm._set_params(folded)
+        cm.esklsh = cm._esklsh(cm.emb.shape[1], cm.emb.shape[0], planes)
+        cm.esklsh.keys = np.asarray(keys, dtype=key_storage_dtype(cm.esklsh.m))
+        cm.esklsh.rows = np.asarray(rows, dtype=np.int32)
+        cm.roots, cm.children = roots, children
         return cm
 
-    def _hash_planes(self, dim: int, n: int, planes: np.ndarray | None) -> np.ndarray:
-        """The ``[:, :M]`` view of ``planes`` this model hashes ``n`` vectors
-        with, or its own planes when ``planes`` is None."""
-        if planes is None:
-            return self.config.hyperplanes(dim, n)
+    def _esklsh(self, dim: int, n: int, planes: np.ndarray | None) -> ESKLSH:
+        """The ESK-LSH module that hashes ``n`` vectors with the first M bits
+        of ``planes``, or with its own planes when ``planes`` is None."""
         m = self.config.hashkey_bits(n)
+        if planes is None:
+            return ESKLSH(self.config.hyperplanes(dim, n))
         if planes.shape[0] != self.config.h or planes.shape[1] < m or planes.shape[2] != dim:
             raise ValueError(
                 f"planes of shape {planes.shape} cannot hash with H={self.config.h}, "
                 f"M={m}, dim={dim}"
             )
-        return planes[:, :m]
-
-    def _set_params(self, folded: list[np.ndarray]) -> None:
-        """Stack the H arrays' folded parameters, so one query's H location
-        predictions are a handful of vectorised ops."""
-        p = np.stack(folded, axis=1)  # (3, H, 1 + W)
-        self.root_a, self.root_x, self.root_b = p[:, :, 0].copy()
-        self.child_a, self.child_x, self.child_b = p[:, :, 1:].copy()
-        self._l = float(self.ids.shape[0])
-        self._w = self.config.width
-        self._h_idx = np.arange(len(folded))
+        return ESKLSH(planes, m)
 
     # ----------------------------------------------------------------- search
     def predict_locations(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(H,) query hashkeys and (H,) RMI-predicted locations in [0, L−1]."""
         q_keys = self.esklsh.query_keys(q)
-        x = q_keys.astype(np.float64)
-        lmax = self._l - 1.0
-        root = np.clip(self.root_a * (x - self.root_x) + self.root_b, 0.0, lmax)
-        # root ≤ L−1, so the child index is < W without a clip.
-        hj = (self._h_idx, (root * self._w / self._l).astype(np.int64))
-        pred = self.child_a[hj] * (x - self.child_x[hj]) + self.child_b[hj]
-        return q_keys, np.clip(np.rint(pred), 0.0, lmax).astype(np.int64)
+        return q_keys, rmi_locations(self.roots, self.children, float(self.n), q_keys)
 
     def candidate_rows(self, q: np.ndarray, km: int) -> np.ndarray:
         """Steps 1–4 of the core-model search: hash, predict, expand, union."""
         _, locs = self.predict_locations(q)
-        return self.esklsh.candidate_rows(locs, max(1, self.config.r0 * km))
+        return self.esklsh.candidate_rows(locs, self.config.r0 * km)
 
     def search(self, q: np.ndarray, km: int) -> tuple[np.ndarray, np.ndarray]:
         """Top-km (external ids, cosine scores), scores descending."""
         q = np.asarray(q, dtype=np.float32)
-        rows = self.candidate_rows(q, km)
-        scores = self.emb[rows] @ q
-        top = top_k(scores, km)
-        return self.ids[rows[top]], scores[top]
+        return verify(self.emb, self.ids, self.candidate_rows(q, km), q, km)
 
     # ------------------------------------------------------------------ stats
     @property
@@ -224,5 +248,4 @@ class CoreModel:
         """Index-only memory (paper Table 5 excludes the data embeddings)."""
         if self.esklsh is None:
             return 0
-        params = (self.root_a, self.root_x, self.root_b, self.child_a, self.child_x, self.child_b)
-        return self.esklsh.nbytes + sum(p.nbytes for p in params) + self.ids.nbytes
+        return self.esklsh.nbytes + self.roots.nbytes + self.children.nbytes + self.ids.nbytes

@@ -3,14 +3,22 @@
 Build (staged as Table 5 reports; the paper's Stage 2, a learned
 *centroids retriever*, is not built — see :class:`CentroidScan`):
   * Stage 1 — spherical k-means clusters the corpus into ``c`` groups;
-  * Stage 3 — one core model per cluster (the *in-cluster retrievers*),
-    built in a thread pool (clusters are independent).
+  * Stage 3 — the corpus is permuted once into cluster order, one core
+    model per cluster (the *in-cluster retrievers*) is fitted on its slice
+    in a thread pool (clusters are independent), and ``LIDER.assemble``
+    stacks their sorted rows and folded RMI parameters into one layout that
+    every retriever views.
 
-Search: exact centroid scan → top-``c0`` clusters → in-cluster retrievers
-each return top-k with exact cosine scores → merge → global top-k. One
-query runs its clusters sequentially: a per-query thread pool (§3.3.2's
-parallel retrieval) measured slower at this scale. The IR build stays
-threaded, and the Spark DataSource runs clusters as parallel partitions.
+Search: exact centroid scan → top-``c0`` clusters → one fused pass over
+the probed clusters on the stacked layout (§4.3: the IRs' arrays expand
+independently, so their work batches): hash once, predict every (cluster,
+array) location, gather every window with one ``np.take``, union per
+cluster, verify each cluster by exact cosine → merge → global top-k. Each
+step is a helper that ``CoreModel`` search runs as its one-cluster case,
+so the per-cluster calls (and the Spark DataSource partitions) return
+what the fused pass does. A per-query thread pool (§3.3.2's parallel
+retrieval) measured slower at this scale; the Spark DataSource runs
+clusters as parallel partitions.
 """
 from __future__ import annotations
 
@@ -20,8 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.core_model import CoreModel, CoreModelConfig, top_k
+from repro.core.core_model import CoreModel, CoreModelConfig, rmi_locations, top_k, verify
 from repro.core.kmeans import spherical_kmeans
+from repro.lsh.esklsh import query_keys, window_union
 
 CENTROID_GROUP = -1  # seed group of the paper's learned CR (Table-5 ablation only)
 # All in-cluster retrievers share one projection-seed group: clusters index
@@ -31,21 +40,34 @@ CENTROID_GROUP = -1  # seed group of the paper's learned CR (Table-5 ablation on
 IN_CLUSTER_GROUP = 0
 
 
+NORM_TOL = 1e-3  # largest |‖x‖ − 1| a query or corpus row may have
+
+
 def check_query(q: np.ndarray, dim: int) -> np.ndarray:
     """``q`` as a float32 vector; ValueError unless it has ``dim`` finite
-    values."""
+    values and unit norm (the rule of :func:`check_corpus`)."""
     q = np.asarray(q, dtype=np.float32)
     if q.shape != (dim,):
         raise ValueError(f"query has shape {q.shape}, expected ({dim},)")
     if not np.isfinite(q).all():
         raise ValueError("query has non-finite values")
+    norm = float(np.sqrt(q @ q))
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"query has norm {norm:.6g}; LIDER needs unit-norm queries")
     return q
 
 
 def check_corpus(emb: np.ndarray, ids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``emb`` as contiguous float32 rows and ``ids`` as int64 (row positions
-    when None); ValueError for non-finite rows, ids that do not align with
-    the rows, or duplicate ids."""
+    when None); ValueError for non-finite rows, rows off unit norm, ids that
+    do not align with the rows, or duplicate ids.
+
+    Unit norm: LIDER scores by inner product and calls it cosine, which
+    holds only for unit vectors, so every corpus row and every query
+    (:func:`check_query`) must have ``|‖x‖ − 1| ≤ NORM_TOL``. Inputs are
+    rejected, not normalised: a non-unit vector is a caller's bug, and a
+    silent fix would hide it.
+    """
     emb = np.ascontiguousarray(emb, dtype=np.float32)
     n = emb.shape[0]
     ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, np.int64)
@@ -54,6 +76,9 @@ def check_corpus(emb: np.ndarray, ids: np.ndarray | None = None) -> tuple[np.nda
     bad = np.flatnonzero(~np.isfinite(emb).all(axis=1))
     if bad.size:
         raise ValueError(f"corpus rows {bad[:5].tolist()} have non-finite values")
+    bad = np.flatnonzero(np.abs(np.linalg.norm(emb, axis=1) - 1.0) > NORM_TOL)
+    if bad.size:
+        raise ValueError(f"corpus rows {bad[:5].tolist()} are not unit-norm")
     if np.unique(ids).size != n:
         raise ValueError("corpus ids are not unique")
     return emb, ids
@@ -132,7 +157,23 @@ class BuildReport:
 
 
 class LIDER:
-    """The two-layer index over one embedding corpus."""
+    """The two-layer index over one embedding corpus.
+
+    It owns one cluster-contiguous layout, and every in-cluster retriever's
+    arrays are views of their slice of it (``np.shares_memory``):
+
+    * ``emb``/``ids``: the corpus and its ids permuted once into cluster
+      order; cluster j holds rows ``offsets[j] : offsets[j] + sizes[j]``;
+    * ``rows``: every cluster's (H, sizes[j]) sorted-row block back to back,
+      one int32 array of H·n, cluster j's block from H·offsets[j];
+    * ``roots`` (c, 3, H) and ``children`` (c, 3, H, W): the folded RMI
+      parameters (zeros for an empty cluster);
+    * ``planes`` (H, M, d) and ``shifts`` (c,): the one hyperplane tensor,
+      and how many bits of a key at its length M cluster j's keys drop.
+
+    Sorted keys stay per cluster: their width follows the cluster's key
+    length, and search never reads them.
+    """
 
     def __init__(self, config: LIDERConfig | None = None):
         self.config = config or LIDERConfig()
@@ -140,6 +181,8 @@ class LIDER:
         self.assignments: np.ndarray | None = None  # (n,)
         self.in_cluster: dict[int, CoreModel] = {}
         self.planes: np.ndarray | None = None  # (H, M, d) shared by the IRs
+        self.emb = self.ids = self.offsets = self.sizes = self.shifts = None
+        self.rows = self.roots = self.children = None
         self.report = BuildReport()
 
     @property
@@ -162,53 +205,83 @@ class LIDER:
         clusters with pyspark.ml) — Stage 1 is then skipped but still timed.
         """
         emb, ids = check_corpus(emb, ids)
-        n = emb.shape[0]
         cfg = self.config
-        c, _ = cfg.resolve(n)
+        c, _ = cfg.resolve(emb.shape[0])
 
         t0 = time.perf_counter()
         if assignments is None or centroids is None:
-            self.centroids, self.assignments = spherical_kmeans(
+            centroids, assignments = spherical_kmeans(
                 emb, c, n_iter=cfg.kmeans_iters, seed=cfg.base_seed
             )
-        else:
-            self.centroids = np.ascontiguousarray(centroids, dtype=np.float32)
-            self.assignments = np.asarray(assignments, dtype=np.int32)
         self.report.stage1_seconds = time.perf_counter() - t0
-        self.report.stage1_bytes = self.centroids.nbytes + self.assignments.nbytes
+
+        in_cfg = cfg.core_config(IN_CLUSTER_GROUP)
+
+        def fit_cluster(j, emb_j, ids_j, planes):
+            return CoreModel(in_cfg).fit(emb_j, ids_j, planes=planes)
 
         t0 = time.perf_counter()
-        c_actual = self.centroids.shape[0]
-        members = {
-            j: np.flatnonzero(self.assignments == j) for j in range(c_actual)
-        }
-        in_cfg = cfg.core_config(IN_CLUSTER_GROUP)
-        largest = max(rows.size for rows in members.values())
-        self.planes = in_cfg.hyperplanes(emb.shape[1], largest)
+        self.assemble(emb, ids, centroids, assignments, fit_cluster)
+        self.report.stage3_seconds = time.perf_counter() - t0
+        return self
 
-        def _build(j: int) -> tuple[int, CoreModel | None]:
-            rows = members[j]
-            if rows.size == 0:
-                return j, None
-            return j, CoreModel(in_cfg).fit(emb[rows], ids[rows], planes=self.planes)
+    def assemble(self, emb, ids, centroids, assignments, fit_cluster) -> None:
+        """Fill the layout from Stage 1's output; both builds call this.
+
+        The corpus is permuted into cluster order once (members in row
+        order); ``fit_cluster(j, emb_j, ids_j, planes)`` then returns
+        cluster j's core model over its slices, hashing with ``planes``.
+        Each model's sorted rows and folded parameters are copied into the
+        stacked arrays as it arrives, and the model is rebound to views of
+        them, so no per-cluster copy outlives the build.
+        """
+        self.centroids = np.ascontiguousarray(centroids, dtype=np.float32)
+        self.assignments = np.asarray(assignments, dtype=np.int32)
+        self.report.stage1_bytes = self.centroids.nbytes + self.assignments.nbytes
+        c = self.centroids.shape[0]
+        order = np.argsort(self.assignments, kind="stable")
+        self.emb, self.ids = emb[order], ids[order]
+        self.sizes = np.bincount(self.assignments, minlength=c).astype(np.int64)
+        self.offsets = np.cumsum(self.sizes) - self.sizes
+        in_cfg = self.config.core_config(IN_CLUSTER_GROUP)
+        h, w = in_cfg.h, in_cfg.width
+        self.planes = in_cfg.hyperplanes(emb.shape[1], int(self.sizes.max()))
+        bits = np.array([in_cfg.hashkey_bits(int(s)) for s in self.sizes])
+        self.shifts = (self.planes.shape[1] - bits).astype(np.uint64)
+        self.rows = np.empty(h * emb.shape[0], dtype=np.int32)
+        self.roots = np.zeros((c, 3, h))
+        self.children = np.zeros((c, 3, h, w))
+
+        def fit_one(j: int) -> tuple[int, CoreModel]:
+            part = slice(self.offsets[j], self.offsets[j] + self.sizes[j])
+            return j, fit_cluster(j, self.emb[part], self.ids[part], self.planes)
 
         self.in_cluster = {}
+        nonempty = [j for j in range(c) if self.sizes[j] > 0]
         with ThreadPoolExecutor(max_workers=self.config.build_workers) as pool:
-            for j, cm in pool.map(_build, range(c_actual)):
-                if cm is not None:
-                    self.in_cluster[j] = cm
-        self.report.stage3_seconds = time.perf_counter() - t0
+            for j, cm in pool.map(fit_one, nonempty):
+                block = self.rows[h * self.offsets[j]:h * (self.offsets[j] + self.sizes[j])]
+                block = block.reshape(h, -1)
+                block[:], self.roots[j], self.children[j] = cm.esklsh.rows, cm.roots, cm.children
+                cm.esklsh.rows, cm.roots, cm.children = block, self.roots[j], self.children[j]
+                self.in_cluster[j] = cm
         self.report.stage3_bytes = self.memory_footprint()
-        return self
 
     # ----------------------------------------------------------------- search
     def search(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Top-k (external ids, cosine scores) for one query embedding.
 
+        One pass over the probed clusters on the stacked layout, with the
+        helpers each ``CoreModel`` search runs on its own cluster: hash once
+        at the tensor's full key length and shift per cluster, predict all
+        (c0, H) locations, gather every window with one ``np.take`` and
+        union per cluster, then verify each cluster, and merge. Empty
+        clusters are skipped.
+
         Returns ``min(k, candidates)`` ids: the candidates are the rows the
         probed clusters' windows reach, every row once r0·k covers a
         cluster (e.g. k ≥ n). Raises ValueError for ``k < 1`` or a query
-        that is not a finite vector of the corpus dimension.
+        ``check_query`` rejects.
         """
         if self.centroids is None:
             raise RuntimeError("search before fit")
@@ -216,13 +289,19 @@ class LIDER:
             raise ValueError(f"k must be at least 1, got {k}")
         q = check_query(q, self.centroids.shape[1])
         _, c0 = self.config.resolve(self.assignments.shape[0])
-        cluster_ids, _ = self.centroid_retriever.search(q, km=c0)
-        parts = [
-            self.in_cluster[int(j)].search(q, km=k)
-            for j in cluster_ids if int(j) in self.in_cluster
-        ]
-        if not parts:
+        probed, _ = self.centroid_retriever.search(q, km=c0)
+        probed = probed[self.sizes[probed] > 0]
+        if probed.size == 0:
             return np.empty(0, np.int64), np.empty(0, np.float32)
+        sizes = self.sizes[probed]
+        keys = query_keys(self.planes, q, self.shifts[probed, None])
+        length = sizes[:, None].astype(np.float64)
+        locs = rmi_locations(self.roots[probed], self.children[probed], length, keys)
+        cands = window_union(self.rows, self.offsets[probed], sizes, locs, self.config.r0 * k)
+        parts = [
+            verify(cm.emb, cm.ids, rows, q, k)
+            for cm, rows in zip(map(self.in_cluster.__getitem__, probed.tolist()), cands)
+        ]
         all_ids = np.concatenate([p[0] for p in parts])
         all_scores = np.concatenate([p[1] for p in parts])
         top = top_k(all_scores, k)
@@ -232,9 +311,9 @@ class LIDER:
     def memory_footprint(self) -> int:
         """Index-only bytes (embeddings excluded), as in Table 5.
 
-        Every in-cluster retriever hashes with a view of ``self.planes``, so
-        the in-cluster plane bytes are that one tensor's, not a sum over
-        the views.
+        Every in-cluster retriever's arrays are views of the layout and it
+        hashes with a view of ``self.planes``, so summing the retrievers
+        counts each layout byte once; the plane bytes are the one tensor's.
         """
         total = self.report.stage1_bytes + sum(
             cm.nbytes - cm.esklsh.planes.nbytes for cm in self.in_cluster.values()

@@ -10,10 +10,11 @@ the distributed_dataflow formulation the reproduction targets:
      in which each cluster, its rows in corpus order, runs the driver's own
      ``CoreModel.fit`` and returns, per array, the sorted keys, the sorted
      rows and the folded RMI parameters;
-  3. **driver assembly**: each cluster's members come from one stable
-     argsort of the assignments (the order ``LIDER.fit`` uses) and go into
-     ``CoreModel.from_parts`` with the fitted arrays and a view of the
-     index's one in-cluster hyperplane tensor, drawn as ``LIDER.fit`` does.
+  3. **driver assembly**: ``LIDER.assemble``, the function ``LIDER.fit``
+     fills its layout with, permutes the corpus into cluster order and
+     takes each cluster's model from ``CoreModel.from_parts`` over its
+     slices, the fitted arrays and the index's one in-cluster hyperplane
+     tensor.
 
 Hashing, the row tie-break and the RMI folding are those of
 ``CoreModel.fit``, so given identical cluster assignments the assembled
@@ -28,7 +29,6 @@ from pyspark.sql import DataFrame, SparkSession, functions as F
 
 from repro.core.core_model import CoreModel, CoreModelConfig
 from repro.core.lider import IN_CLUSTER_GROUP, LIDER, LIDERConfig, check_corpus
-from repro.lsh.esklsh import SortedKeyArray
 
 FIT_SCHEMA = (
     "cluster_id int, array_id int, "
@@ -66,17 +66,15 @@ def spark_fit_clusters(df: DataFrame, config: CoreModelConfig) -> DataFrame:
         pdf = pdf.sort_values("pos")
         emb = np.vstack(pdf["emb"].to_numpy()).astype(np.float32)
         cm = CoreModel(config).fit(emb, pdf["id"].to_numpy(dtype=np.int64))
-        roots = np.stack([cm.root_a, cm.root_x, cm.root_b])[:, :, None]
-        children = np.stack([cm.child_a, cm.child_x, cm.child_b])
-        params = np.concatenate([roots, children], axis=2)  # (3, H, 1 + W)
-        arrays = cm.esklsh.arrays
+        params = np.concatenate([cm.roots[:, :, None], cm.children], axis=2)  # (3, H, 1 + W)
+        h = config.h
         return pd.DataFrame(
             {
                 "cluster_id": int(pdf["cluster_id"].iloc[0]),
-                "array_id": np.arange(len(arrays), dtype=np.int32),
-                "keys": [a.keys.astype(np.int64) for a in arrays],
-                "rows": [a.rows for a in arrays],
-                "params": [params[:, h].ravel() for h in range(len(arrays))],
+                "array_id": np.arange(h, dtype=np.int32),
+                "keys": list(cm.esklsh.keys.astype(np.int64)),
+                "rows": list(cm.esklsh.rows),
+                "params": [params[:, i].ravel() for i in range(h)],
             }
         )
 
@@ -124,21 +122,16 @@ def build_lider_spark(
         .sort_values(["cluster_id", "array_id"])
     )
 
-    lider = LIDER(config)
-    lider.centroids = centroids
-    lider.assignments = assignments
-    order = np.argsort(assignments, kind="stable")
-    sizes = np.bincount(assignments, minlength=centroids.shape[0])
-    ends = np.cumsum(sizes)
-    lider.planes = in_cfg.hyperplanes(emb.shape[1], int(sizes.max()))
-    for j, grp in fitted.groupby("cluster_id"):
-        members = order[ends[j] - sizes[j]:ends[j]]
-        m_bits = in_cfg.hashkey_bits(members.size)
-        arrays = [SortedKeyArray(k, r, m_bits=m_bits) for k, r in zip(grp["keys"], grp["rows"])]
-        folded = [np.reshape(p, (3, -1)) for p in grp["params"]]
-        lider.in_cluster[int(j)] = CoreModel.from_parts(
-            in_cfg, emb[members], ids[members], arrays, folded, planes=lider.planes
+    fitted = {int(j): grp for j, grp in fitted.groupby("cluster_id")}
+
+    def from_spark(j, emb_j, ids_j, planes):
+        grp = fitted[j]
+        params = np.stack([np.reshape(p, (3, -1)) for p in grp["params"]], axis=1)
+        return CoreModel.from_parts(
+            in_cfg, emb_j, ids_j, np.stack(grp["keys"].to_list()), np.stack(grp["rows"].to_list()),
+            params[:, :, 0], params[:, :, 1:], planes=planes,
         )
-    lider.report.stage1_bytes = centroids.nbytes + assignments.nbytes
-    lider.report.stage3_bytes = lider.memory_footprint()
+
+    lider = LIDER(config)
+    lider.assemble(emb, ids, centroids, assignments, from_spark)
     return lider

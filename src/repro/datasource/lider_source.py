@@ -5,9 +5,9 @@ Layout written by :func:`save_lider_index`::
     <path>/embeddings/cluster_id=<j>/*.parquet   # (id, emb) per cluster
     <path>/index/meta.json                       # config, k defaults
     <path>/index/centroids.npy                   # (c, d) float32 centroids
-    <path>/index/cluster_<j>.pkl                 # in-cluster core models
-                                                 # (embedding-free: data
-                                                 #  stays in Parquet only)
+    <path>/index/planes.npy                      # (H, M, d) in-cluster planes
+    <path>/index/cluster_<j>.pkl                 # in-cluster core models,
+                                                 # embedding- and plane-free
 
 Read path (``spark.read.format("lider")``):
 
@@ -15,8 +15,11 @@ Read path (``spark.read.format("lider")``):
   the **exact centroid scan at planning time** (``CentroidScan``) and emits
   one ``InputPartition`` per target cluster — index-driven partition pruning,
   the ANN analogue of predicate pushdown. Executors load their cluster's
-  Parquet file + pickled in-cluster retriever, run the core-model search,
-  and return (id, cluster_id, score, rank) rows; a plain
+  Parquet file, pickled in-cluster retriever and the shared planes, run
+  ``CoreModel.search`` — the one-cluster case of the helpers
+  ``LIDER.search`` runs over all probed clusters, so a partition returns
+  what the in-memory index finds in that cluster — and return
+  (id, cluster_id, score, rank) rows; a plain
   ``ORDER BY score DESC LIMIT k`` in Catalyst merges the per-cluster
   top-k — LIDER's stage-3 heap merge expressed as a dataflow.
 * ``pushFilters`` additionally consumes ``cluster_id`` equality/IN filters
@@ -49,9 +52,10 @@ SCHEMA_DDL = "id long, cluster_id int, score double, rank int"
 def save_lider_index(lider, path: str) -> None:
     """Persist a fitted LIDER plus its corpus to the on-disk layout above.
 
-    Embeddings are written once (Parquet, partitioned by cluster); the
-    pickled in-cluster retrievers are stripped of their embedding matrices
-    so the Parquet files remain the single copy of the data.
+    Embeddings are written once (Parquet, partitioned by cluster) and the
+    in-cluster planes once (``planes.npy``). Each pickled in-cluster
+    retriever is stripped of both, and its other arrays — views of the
+    index's layout — pickle only their own cluster's slice.
     """
     import pyarrow as pa
     import pyarrow.parquet as pq
@@ -72,11 +76,14 @@ def save_lider_index(lider, path: str) -> None:
             }
         )
         pq.write_table(table, os.path.join(part_dir, "part-0.parquet"))
-        stripped = copy.copy(cm)  # shares the index arrays; only emb differs
+        stripped = copy.copy(cm)  # shares the index arrays; emb and planes differ
         stripped.emb = None
+        stripped.esklsh = copy.copy(cm.esklsh)
+        stripped.esklsh.hash_planes = None
         with open(os.path.join(idx_dir, f"cluster_{j}.pkl"), "wb") as f:
             pickle.dump(stripped, f)
     np.save(os.path.join(idx_dir, "centroids.npy"), lider.centroids)
+    np.save(os.path.join(idx_dir, "planes.npy"), lider.planes)
     _, c0 = lider.config.resolve(lider.assignments.shape[0])
     with open(os.path.join(idx_dir, "meta.json"), "w") as f:
         json.dump(
@@ -159,6 +166,9 @@ class LiderReader(DataSourceReader):
         j = int(partition.value)
         with open(os.path.join(self.path, "index", f"cluster_{j}.pkl"), "rb") as f:
             cm = pickle.load(f)
+        cm.esklsh.hash_planes = np.load(
+            os.path.join(self.path, "index", "planes.npy"), allow_pickle=False
+        )
         cm.emb = _load_cluster_embeddings(self.path, j, cm.ids)
         if self.query is None:
             for pid in cm.ids:

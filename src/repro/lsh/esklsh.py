@@ -20,18 +20,49 @@ import numpy as np
 from repro.lsh.hashkeys import pack_bits
 
 
-def expansion_window(loc: int, r: int, length: int) -> tuple[int, int]:
-    """[start, end) of the bi-directional expansion range.
+def expansion_window(loc, r: int, length):
+    """[start, end) of the bi-directional expansion range, elementwise over
+    broadcast ``loc`` and ``length``.
 
     Centered on ``loc``, total width ``r``, shifted (not shrunk) at array
     boundaries so the candidate budget is spent whenever the array allows.
     """
-    if length <= 0:
-        return 0, 0
-    r = min(max(1, r), length)
-    start = int(loc) - r // 2
-    start = max(0, min(start, length - r))
-    return start, start + r
+    width = np.minimum(max(1, r), length)
+    start = np.clip(np.asarray(loc) - width // 2, 0, np.asarray(length) - width)
+    return start, start + width
+
+
+def query_keys(planes: np.ndarray, q: np.ndarray, shift) -> np.ndarray:
+    """Hashkeys of ``q`` under the first ``M − shift`` rows of each (M, d)
+    slice of ``planes``: one product at the full length M, then a right
+    shift. Keys pack MSB-first, so dropping the last bits of the long key is
+    the key of the ``[:, :M − shift]`` view. ``shift`` (uint64) may be an
+    array, e.g. (c0, 1) for one key length per cluster → (c0, H) keys."""
+    return pack_bits((planes @ q) > 0) >> shift
+
+
+def window_union(
+    rows: np.ndarray, offsets: np.ndarray, sizes: np.ndarray, locs: np.ndarray, r: int
+) -> list[np.ndarray]:
+    """Per cluster, the ascending union of its H expansion windows.
+
+    ``rows`` is flat: each cluster's (H, size) sorted-row block, back to back
+    from position H·offset. ``locs`` is (clusters, H); every size must be
+    positive. All windows are gathered by one ``np.take`` (clipped to each
+    cluster's width, repeating its last row), then deduplicated by one
+    boolean hit-mask over the clusters' rows, O(Σ size + H·R) without the
+    sort a ``np.unique`` would pay.
+    """
+    h = locs.shape[-1]
+    start, end = expansion_window(locs, r, sizes[:, None])
+    width = end[:, :1] - start[:, :1]  # (clusters, 1): equal across the H arrays
+    steps = np.minimum(np.arange(width.max()), width - 1)[:, None, :]
+    block = h * offsets[:, None] + np.arange(h) * sizes[:, None]
+    local = np.take(rows, (block + start)[:, :, None] + steps)
+    base = np.cumsum(sizes) - sizes  # each cluster's first slot in the mask
+    mask = np.zeros(int(sizes.sum()), dtype=bool)
+    mask[(local + base[:, None, None]).ravel()] = True
+    return [np.flatnonzero(mask[b:b + n]) for b, n in zip(base.tolist(), sizes.tolist())]
 
 
 def key_storage_dtype(m_bits: int | None) -> np.dtype:
@@ -62,7 +93,7 @@ class SortedKeyArray:
     m_bits: int | None = None
 
     def __post_init__(self):
-        self.keys = np.asarray(self.keys).astype(key_storage_dtype(self.m_bits))
+        self.keys = np.asarray(self.keys, dtype=key_storage_dtype(self.m_bits))
         self.rows = np.asarray(self.rows, dtype=np.int32)
         if self.keys.shape != self.rows.shape:
             raise ValueError("keys and rows must align")
@@ -83,17 +114,37 @@ class SortedKeyArray:
 class ESKLSH:
     """The full dimension-reduction module: H compound hashes + H sorted arrays.
 
-    ``planes`` is the (H, M, d) tensor of :func:`~repro.lsh.projections.hyperplanes`,
-    or a ``[:, :M]`` view of a longer one: the model's only copy of its
-    hyperplanes, which hashes both the corpus and the queries.
+    ``planes`` is an (H, M', d) tensor of :func:`~repro.lsh.projections.hyperplanes`;
+    the model's hashkeys are its first ``m ≤ M'`` bits (all by default), so
+    one index-wide tensor serves models of every key length. The H sorted
+    arrays are held as one (H, L) ``keys`` and one (H, L) ``rows`` array,
+    which may be views of a larger layout; ``arrays`` views them per array.
     """
 
-    def __init__(self, planes: np.ndarray):
-        self.h, self.m = planes.shape[:2]
+    def __init__(self, planes: np.ndarray, m: int | None = None):
+        self.h = planes.shape[0]
         if self.h <= 0:
             raise ValueError("H must be positive")
-        self.planes = planes
-        self.arrays: list[SortedKeyArray] = []
+        self.hash_planes = planes
+        self.m = planes.shape[1] if m is None else m
+        self.keys: np.ndarray | None = None  # (H, L) sorted hashkeys
+        self.rows: np.ndarray | None = None  # (H, L) int32 rows they index
+
+    @property
+    def planes(self) -> np.ndarray:
+        """The (H, m, d) view this model's keys are hashed with."""
+        return self.hash_planes[:, : self.m]
+
+    @property
+    def shift(self) -> np.uint64:
+        """Bits a key at the tensor's full length loses to be this model's."""
+        return np.uint64(self.hash_planes.shape[1] - self.m)
+
+    @property
+    def arrays(self) -> list[SortedKeyArray]:
+        if self.keys is None:
+            return []
+        return [SortedKeyArray(k, r, m_bits=self.m) for k, r in zip(self.keys, self.rows)]
 
     def fit(self, x: np.ndarray) -> "ESKLSH":
         """Hash the corpus with each compound function and sort each array.
@@ -102,34 +153,29 @@ class ESKLSH:
         deterministic and reproducible by the Spark path.
         """
         x = np.asarray(x, dtype=np.float32)
-        self.arrays = []
-        for planes in self.planes:
+        self.keys = np.empty((self.h, x.shape[0]), dtype=key_storage_dtype(self.m))
+        self.rows = np.empty((self.h, x.shape[0]), dtype=np.int32)
+        for h, planes in enumerate(self.planes):
             keys = pack_bits((x @ planes.T) > 0)
-            order = np.argsort(keys, kind="stable")
-            self.arrays.append(SortedKeyArray(keys[order], order, m_bits=self.m))
+            self.rows[h] = np.argsort(keys, kind="stable")
+            self.keys[h] = keys[self.rows[h]]
         return self
 
     def query_keys(self, q: np.ndarray) -> np.ndarray:
-        """(H,) query hashkeys, one per array, in a single stacked matmul."""
-        q = np.asarray(q, dtype=np.float32)
-        return pack_bits((self.planes @ q) > 0)  # (H, M) bits
+        """(H,) query hashkeys, one per array (see :func:`query_keys`)."""
+        return query_keys(self.hash_planes, np.asarray(q, dtype=np.float32), self.shift)
 
     def candidate_rows(self, locations: np.ndarray, r: int) -> np.ndarray:
-        """Union (deduplicated) of the H expansion windows.
-
-        Dedup via a boolean hit-mask over the corpus rows — O(n + H·R)
-        without the sort a ``np.unique`` would pay; output is ascending
-        (same contract as np.unique).
-        """
-        if not self.arrays:
+        """Union (deduplicated, ascending) of the H expansion windows: the
+        one-cluster case of :func:`window_union`."""
+        if self.rows is None:
             return np.empty(0, np.int64)
-        n = len(self.arrays[0])
-        mask = np.zeros(n, dtype=bool)
-        for arr, loc in zip(self.arrays, locations):
-            start, end = expansion_window(int(loc), r, len(arr))
-            mask[arr.rows[start:end]] = True
-        return np.flatnonzero(mask)
+        length = np.array([self.rows.shape[1]])
+        return window_union(self.rows.ravel(), np.zeros(1, np.int64), length,
+                            np.asarray(locations)[None], r)[0]
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in self.arrays) + self.planes.nbytes
+        if self.keys is None:
+            return self.planes.nbytes
+        return self.keys.nbytes + self.rows.nbytes + self.planes.nbytes

@@ -7,7 +7,7 @@ from repro.metrics import recall_at_k
 from repro.rmi.rescale import KeyRescaler
 from repro.rmi.rmi import SimplifiedRMI
 
-PARAMS = ("root_a", "root_x", "root_b", "child_a", "child_x", "child_b")
+PARAMS = ("roots", "children")
 
 
 def reference_locations(cm: CoreModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -50,8 +50,8 @@ class TestBuild:
     def test_unit_count_matches_h(self, core_model_small):
         cm = core_model_small
         assert len(cm.esklsh.arrays) == 8
-        assert cm.root_a.shape == (8,)
-        assert cm.child_a.shape == (8, cm.config.width)
+        assert cm.roots.shape == (3, 8)
+        assert cm.children.shape == (3, 8, cm.config.width)
 
     def test_arrays_cover_corpus(self, core_model_small, corpus_small):
         for arr in core_model_small.esklsh.arrays:
@@ -61,8 +61,8 @@ class TestBuild:
         """Every array's root is fitted: ascending keys → ascending
         locations, centred on the mean location."""
         cm = core_model_small
-        assert (cm.root_a > 0).all()
-        assert cm.root_b == pytest.approx(np.full(8, (corpus_small.n - 1) / 2))
+        assert (cm.roots[0] > 0).all()
+        assert cm.roots[2] == pytest.approx(np.full(8, (corpus_small.n - 1) / 2))
 
     def test_default_ids_are_arange(self, core_model_small, corpus_small):
         assert np.array_equal(core_model_small.ids, np.arange(corpus_small.n))
@@ -128,7 +128,7 @@ class TestPredictLocations:
         """The Table-4 ablation arm: raw decimal keys, diverged slopes of
         ±1e30 — still exact, with no overflow or invalid operation."""
         cm = CoreModel(CoreModelConfig(h=4, rescale=False, pad=12)).fit(corpus_small.emb)
-        assert (np.abs(cm.child_a) == 1e30).any()
+        assert (np.abs(cm.children[0]) == 1e30).any()
         with np.errstate(all="raise"):
             assert_matches_reference(cm, corpus_small.emb[:20])
 

@@ -53,6 +53,25 @@ class TestLayout:
         with open(os.path.join(path, "index", f"cluster_{j}.pkl"), "rb") as f:
             cm = pickle.load(f)
         assert cm.emb is None and cm.ids is not None
+        assert cm.esklsh.hash_planes is None  # saved once, in planes.npy
+
+    def test_cluster_pickle_holds_only_its_slice(self, tmp_path, corpus_small, clustered_small):
+        """Cluster 0's pickle is the same bytes whether the rest of the
+        corpus forms 1 or 7 other clusters: its layout views pickle only
+        their own slice."""
+        import os
+
+        cents, assign = clustered_small
+        sizes = []
+        for c in (2, 8):
+            lider = LIDER(LIDERConfig(c=c, c0=2)).fit(
+                corpus_small.emb, assignments=np.minimum(assign, c - 1), centroids=cents[:c]
+            )
+            path = str(tmp_path / f"c{c}")
+            save_lider_index(lider, path)
+            sizes.append(os.path.getsize(os.path.join(path, "index", "cluster_0.pkl")))
+            assert sizes[-1] < lider.rows.nbytes
+        assert sizes[0] == sizes[1]
 
 
 class TestReaderPlanning:
@@ -120,6 +139,11 @@ class TestReaderPlanning:
         q[5] = bad
         with pytest.raises(ValueError, match="non-finite"):
             self._reader(path, query=q).partitions()
+
+    def test_non_unit_query_raises(self, saved_index, queries_small):
+        path, _ = saved_index
+        with pytest.raises(ValueError, match="norm"):
+            self._reader(path, query=queries_small.emb[0] * 100).partitions()
 
 
 class TestReadEnd2End:

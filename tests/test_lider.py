@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core.core_model import top_k
 from repro.core.lider import LIDER, LIDERConfig
 from repro.embeddings.corpus import make_corpus
 from repro.metrics import mrr_at_k, recall_at_k
@@ -21,7 +22,42 @@ def bad_corpus(case: str, emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ids = ids[:-1]
     elif case == "ids_one_long":
         ids = np.arange(emb.shape[0] + 1, dtype=np.int64)
+    elif case == "non_unit_row":
+        emb[7] *= 1.01
     return emb, ids
+
+
+def merged_cluster_searches(lider: LIDER, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The top-k merge of ``CoreModel.search`` over the clusters ``lider``
+    probes for ``q``: the per-cluster public calls LIDER.search fuses."""
+    _, c0 = lider.config.resolve(lider.assignments.shape[0])
+    clusters, _ = lider.centroid_retriever.search(q, km=c0)
+    parts = [lider.in_cluster[int(j)].search(q, k) for j in clusters if int(j) in lider.in_cluster]
+    ids = np.concatenate([p[0] for p in parts])
+    scores = np.concatenate([p[1] for p in parts])
+    top = top_k(scores, k)
+    return ids[top], scores[top]
+
+
+def assert_layout_views(lider: LIDER) -> None:
+    """Every in-cluster retriever's arrays are views of their slice of the
+    index's one cluster-contiguous layout."""
+    h = lider.config.h
+    for j, cm in lider.in_cluster.items():
+        part = slice(lider.offsets[j], lider.offsets[j] + lider.sizes[j])
+        block = lider.rows[h * part.start:h * part.stop]
+        pairs = [
+            (cm.emb, lider.emb[part]),
+            (cm.ids, lider.ids[part]),
+            (cm.esklsh.rows, block.reshape(h, -1)),
+            (cm.roots, lider.roots[j]),
+            (cm.children, lider.children[j]),
+            (cm.esklsh.planes, lider.planes[:, :cm.esklsh.m]),
+        ]
+        pairs += [(arr.rows, block.reshape(h, -1)[i]) for i, arr in enumerate(cm.esklsh.arrays)]
+        for view, expected in pairs:
+            assert np.shares_memory(view, expected)
+            assert np.array_equal(view, expected)
 
 
 class TestConfigResolve:
@@ -79,6 +115,7 @@ class TestBuild:
             ("duplicate_ids", "not unique"),
             ("ids_one_short", "align"),
             ("ids_one_long", "align"),
+            ("non_unit_row", "unit-norm"),
         ],
     )
     def test_bad_corpus_raises(self, corpus_small, case, match):
@@ -142,6 +179,45 @@ class TestSearch:
         with pytest.raises(ValueError, match="non-finite"):
             lider_small.search(q, 10)
 
+    def test_non_unit_query_raises(self, lider_small, queries_small):
+        # Scaled ×100 a query would score "cosines" of about 100.
+        with pytest.raises(ValueError, match="norm"):
+            lider_small.search(queries_small.emb[0] * 100, 10)
+
+    @pytest.mark.parametrize("k", [20, 100])
+    def test_search_equals_merged_cluster_searches(self, lider_small, queries_small, k):
+        """The fused pass returns what the per-cluster ``CoreModel.search``
+        calls return, merged. At k=100 the r0·k windows are clipped to the
+        ~250-row clusters, so window widths differ across probed clusters."""
+        r = lider_small.config.r0 * k
+        _, c0 = lider_small.config.resolve(lider_small.assignments.shape[0])
+        mixed_widths = 0
+        for q in queries_small.emb:
+            ids, scores = lider_small.search(q, k)
+            want_ids, want_scores = merged_cluster_searches(lider_small, q, k)
+            assert np.array_equal(ids, want_ids)
+            assert np.array_equal(scores, want_scores)
+            probed, _ = lider_small.centroid_retriever.search(q, km=c0)
+            mixed_widths += np.unique(np.minimum(r, lider_small.sizes[probed])).size > 1
+        assert (mixed_widths > 0) == (k == 100)
+
+    def test_empty_probed_cluster_skipped(self, corpus_small, clustered_small, queries_small):
+        cents, assign = clustered_small
+        assign = np.where(assign == 3, 2, assign).astype(np.int32)
+        idx = LIDER(LIDERConfig(c=8, c0=4)).fit(
+            corpus_small.emb, assignments=assign, centroids=cents
+        )
+        assert 3 not in idx.in_cluster and idx.sizes[3] == 0
+        probed_empty = 0
+        for q in queries_small.emb:
+            probed_empty += 3 in idx.centroid_retriever.search(q, km=4)[0]
+            ids, scores = idx.search(q, 20)
+            want_ids, want_scores = merged_cluster_searches(idx, q, 20)
+            assert ids.size == 20
+            assert np.array_equal(ids, want_ids)
+            assert np.array_equal(scores, want_scores)
+        assert probed_empty > 0
+
     def test_k_above_corpus_size_returns_every_candidate(self):
         corpus = make_corpus(50, dim=16, seed=1)
         idx = LIDER(LIDERConfig(c=4, c0=4)).fit(corpus.emb)
@@ -182,6 +258,13 @@ class TestMemory:
         # by this build (a cold one when the test runs alone).
         for cm in lider_small.in_cluster.values():
             assert np.shares_memory(cm.esklsh.planes, lider_small.planes)
+
+    def test_in_cluster_arrays_are_layout_views(self, lider_small, corpus_small):
+        order = np.argsort(lider_small.assignments, kind="stable")
+        assert np.array_equal(lider_small.emb, corpus_small.emb[order])
+        assert np.array_equal(lider_small.ids, order)
+        assert lider_small.rows.shape == (lider_small.config.h * corpus_small.n,)
+        assert_layout_views(lider_small)
 
     def test_in_cluster_retrievers_dominate(self, lider_small):
         """Table-5 observation: the IRs take the major fraction of the index."""

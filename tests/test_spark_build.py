@@ -8,9 +8,11 @@ from repro.core.lider import LIDER, LIDERConfig
 from repro.core.spark_build import build_lider_spark, cluster_with_spark_kmeans
 from repro.embeddings.datasets import corpus_to_spark
 from repro.oracle import assert_equivalent
+from tests.test_lider import assert_layout_views
 
 CFG = LIDERConfig(c=8, c0=4)
-PARAMS = ("root_a", "root_x", "root_b", "child_a", "child_x", "child_b")
+PARAMS = ("roots", "children")
+LAYOUT = ("emb", "ids", "offsets", "sizes", "shifts", "rows", "roots", "children", "planes")
 ID_KINDS = ("arange", "reversed", "permuted")
 
 
@@ -55,6 +57,10 @@ class TestEndToEnd:
         ids, dist = spark_built(kind)
         driver = LIDER(CFG).fit(corpus_small.emb, ids, assignments=assign, centroids=cents)
         assert driver.in_cluster.keys() == dist.in_cluster.keys()
+        for name in LAYOUT:
+            assert np.array_equal(getattr(driver, name), getattr(dist, name))
+        assert_layout_views(driver)
+        assert_layout_views(dist)
         for j, cm in driver.in_cluster.items():
             other = dist.in_cluster[j]
             assert np.shares_memory(cm.esklsh.planes, driver.planes)
@@ -139,6 +145,12 @@ class TestEndToEnd:
         ids[9] = ids[4]
         with pytest.raises(ValueError, match="not unique"):
             build_lider_spark(spark, corpus_small.emb, ids, config=CFG)
+
+    def test_non_unit_row_raises(self, spark, corpus_small):
+        emb = corpus_small.emb.copy()
+        emb[7] *= 1.01
+        with pytest.raises(ValueError, match="unit-norm"):
+            build_lider_spark(spark, emb, config=CFG)
 
     def test_spark_kmeans_build_searches_sensibly(self, spark, corpus_small, queries_small):
         idx = build_lider_spark(spark, corpus_small.emb, config=CFG)
