@@ -298,10 +298,8 @@ class LIDER:
         length = sizes[:, None].astype(np.float64)
         locs = rmi_locations(self.roots[probed], self.children[probed], length, keys)
         cands = window_union(self.rows, self.offsets[probed], sizes, locs, self.config.r0 * k)
-        parts = [
-            verify(cm.emb, cm.ids, rows, q, k)
-            for cm, rows in zip(map(self.in_cluster.__getitem__, probed.tolist()), cands)
-        ]
+        cms = [self.in_cluster[j] for j in probed.tolist()]
+        parts = [verify(cm.emb, cm.ids, rows, q, k) for cm, rows in zip(cms, cands)]
         all_ids = np.concatenate([p[0] for p in parts])
         all_scores = np.concatenate([p[1] for p in parts])
         top = top_k(all_scores, k)
