@@ -76,7 +76,7 @@ def check_corpus(emb: np.ndarray, ids: np.ndarray | None = None) -> tuple[np.nda
     bad = np.flatnonzero(~np.isfinite(emb).all(axis=1))
     if bad.size:
         raise ValueError(f"corpus rows {bad[:5].tolist()} have non-finite values")
-    bad = np.flatnonzero(np.abs(np.linalg.norm(emb, axis=1) - 1.0) > NORM_TOL)
+    bad = np.flatnonzero(np.abs(np.sqrt(np.einsum("ij,ij->i", emb, emb)) - 1.0) > NORM_TOL)
     if bad.size:
         raise ValueError(f"corpus rows {bad[:5].tolist()} are not unit-norm")
     if np.unique(ids).size != n:
@@ -240,7 +240,7 @@ class LIDER:
         self.report.stage1_bytes = self.centroids.nbytes + self.assignments.nbytes
         c = self.centroids.shape[0]
         order = np.argsort(self.assignments, kind="stable")
-        self.emb, self.ids = emb[order], ids[order]
+        self.emb, self.ids = np.take(emb, order, axis=0), ids[order]
         self.sizes = np.bincount(self.assignments, minlength=c).astype(np.int64)
         self.offsets = np.cumsum(self.sizes) - self.sizes
         in_cfg = self.config.core_config(IN_CLUSTER_GROUP)

@@ -113,7 +113,6 @@ def build_lider_spark(
             .loc[ids, "cluster_id"].to_numpy(dtype=np.int32)
         )
     assignments = np.asarray(assignments, dtype=np.int32)
-    centroids = np.ascontiguousarray(centroids, dtype=np.float32)
     assign_pdf = pd.DataFrame({"id": ids, "pos": np.arange(n), "cluster_id": assignments})
     assign_df = spark.createDataFrame(assign_pdf, schema="id long, pos long, cluster_id int")
     in_cfg = config.core_config(IN_CLUSTER_GROUP)
