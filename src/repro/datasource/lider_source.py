@@ -12,19 +12,23 @@ Layout written by :func:`save_lider_index`::
 Read path (``spark.read.format("lider")``):
 
 * With ``query`` (JSON-encoded embedding) + ``k`` options, the reader runs
-  the **exact centroid scan at planning time** (``CentroidScan``) and emits
-  one ``InputPartition`` per target cluster — index-driven partition pruning,
-  the ANN analogue of predicate pushdown. Executors load their cluster's
-  Parquet file, pickled in-cluster retriever and the shared planes, run
-  ``CoreModel.search`` — the one-cluster case of the helpers
-  ``LIDER.search`` runs over all probed clusters, so a partition returns
-  what the in-memory index finds in that cluster — and return
-  (id, cluster_id, score, rank) rows; a plain
+  the **exact centroid scan at planning time** (``CentroidScan``) and plans
+  **one** ``InputPartition`` per query, holding the probed cluster ids (in
+  the scan's order) and the resolved ``k`` — index-driven partition
+  pruning, the ANN analogue of predicate pushdown. One partition costs one
+  Python task wave; one partition per probed cluster paid two waves on
+  ``local[4]`` while each cluster's search took a few ms. The executor
+  loads the shared planes once, then per probed cluster its Parquet file
+  and pickled in-cluster retriever, runs ``CoreModel.search`` — the
+  one-cluster case of the helpers ``LIDER.search`` runs over all probed
+  clusters, so each cluster returns what the in-memory index finds in it —
+  and yields (id, cluster_id, score, rank) rows; a plain
   ``ORDER BY score DESC LIMIT k`` in Catalyst merges the per-cluster
   top-k — LIDER's stage-3 heap merge expressed as a dataflow.
 * ``pushFilters`` additionally consumes ``cluster_id`` equality/IN filters
-  (classic DSv2 pushdown) to prune partitions on full scans.
-* Without a query, all clusters are scanned (score is NULL, rank −1).
+  (classic DSv2 pushdown) to prune clusters.
+* Without a query, every cluster is its own partition, so full scans stay
+  parallel (score is NULL, rank −1).
 """
 from __future__ import annotations
 
@@ -115,7 +119,8 @@ def _load_cluster_embeddings(path: str, j: int, ids: np.ndarray) -> np.ndarray:
 
 
 class LiderReader(DataSourceReader):
-    """Plans one partition per (target) cluster; searches inside executors."""
+    """Plans one partition per query (or per cluster on a full scan);
+    searches inside executors."""
 
     def __init__(self, options: dict):
         self.path = options.get("path")
@@ -143,41 +148,48 @@ class LiderReader(DataSourceReader):
             else:
                 yield f
 
-    def _meta(self) -> dict:
-        with open(os.path.join(self.path, "index", "meta.json")) as f:
-            return json.load(f)
-
     def partitions(self):
-        """Raises ValueError for a query that is not a finite vector of the
-        index's dimension."""
-        meta = self._meta()
+        """One partition per query, or one per cluster without a query.
+
+        Each value is ``(cluster ids, k)``, with ``k`` None on a full scan:
+        Spark pickles the reader before planning, so ``read`` sees only
+        what ``__init__`` set and what the partition carries. Raises
+        ValueError for a query that is not a finite unit vector of the
+        index's dimension.
+        """
+        idx_dir = os.path.join(self.path, "index")
+        with open(os.path.join(idx_dir, "meta.json")) as f:
+            meta = json.load(f)
         clusters = meta["clusters"]
         if self.query is not None:
-            centroids = np.load(os.path.join(self.path, "index", "centroids.npy"), allow_pickle=False)
-            self.query = check_query(self.query, centroids.shape[1])
-            c0 = self.c0 or meta["c0"]
-            targets, _ = CentroidScan(centroids).search(self.query, km=c0)
+            centroids = np.load(os.path.join(idx_dir, "centroids.npy"), allow_pickle=False)
+            check_query(self.query, centroids.shape[1])
+            targets, _ = CentroidScan(centroids).search(self.query, km=self.c0 or meta["c0"])
             clusters = [int(j) for j in targets if int(j) in set(clusters)]
         if self.pushed_clusters is not None:
             clusters = [j for j in clusters if j in self.pushed_clusters]
-        return [InputPartition(int(j)) for j in clusters]
-
-    def read(self, partition: InputPartition):
-        j = int(partition.value)
-        with open(os.path.join(self.path, "index", f"cluster_{j}.pkl"), "rb") as f:
-            cm = pickle.load(f)
-        cm.esklsh.hash_planes = np.load(
-            os.path.join(self.path, "index", "planes.npy"), allow_pickle=False
-        )
-        cm.emb = _load_cluster_embeddings(self.path, j, cm.ids)
         if self.query is None:
-            for pid in cm.ids:
-                yield (int(pid), j, None, -1)
+            return [InputPartition(((j,), None)) for j in clusters]
+        return [InputPartition((tuple(clusters), self.k or meta["default_k"]))] if clusters else []
+
+    def read(self, partition: InputPartition | None):
+        if partition is None:  # Spark's stand-in when partitions() is empty
             return
-        k = self.k or self._meta()["default_k"]
-        ids, scores = cm.search(self.query, km=k)
-        for rank, (pid, s) in enumerate(zip(ids, scores)):
-            yield (int(pid), j, float(s), rank)
+        clusters, k = partition.value
+        idx_dir = os.path.join(self.path, "index")
+        planes = np.load(os.path.join(idx_dir, "planes.npy"), allow_pickle=False)
+        for j in clusters:
+            with open(os.path.join(idx_dir, f"cluster_{j}.pkl"), "rb") as f:
+                cm = pickle.load(f)
+            cm.esklsh.hash_planes = planes
+            cm.emb = _load_cluster_embeddings(self.path, j, cm.ids)
+            if k is None:
+                for pid in cm.ids:
+                    yield (int(pid), j, None, -1)
+                continue
+            ids, scores = cm.search(self.query, km=k)
+            for rank, (pid, s) in enumerate(zip(ids, scores)):
+                yield (int(pid), j, float(s), rank)
 
 
 class LiderDataSource(DataSource):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.lider import LIDER, LIDERConfig
+from repro.oracle import assert_equivalent
 from repro.datasource import register_lider_source, save_lider_index
 from repro.datasource.lider_source import LiderReader, ann_search_df
 from pyspark.sql.datasource import EqualTo, GreaterThan, In
@@ -74,6 +75,11 @@ class TestLayout:
         assert sizes[0] == sizes[1]
 
 
+def _clusters(parts):
+    """The cluster ids the planned partitions carry, in plan order."""
+    return [j for p in parts for j in p.value[0]]
+
+
 class TestReaderPlanning:
     def _reader(self, path, query=None, **kw):
         opts = {"path": path, **kw}
@@ -84,38 +90,67 @@ class TestReaderPlanning:
     def test_full_scan_plans_all_clusters(self, saved_index):
         path, lider = saved_index
         parts = self._reader(path).partitions()
-        assert {p.value for p in parts} == set(lider.in_cluster)
+        assert len(parts) == len(lider.in_cluster)  # one per cluster: full scans stay parallel
+        assert sorted(_clusters(parts)) == sorted(lider.in_cluster)
 
     def test_query_plans_c0_partitions(self, saved_index, queries_small):
         path, lider = saved_index
         parts = self._reader(path, query=queries_small.emb[0]).partitions()
         _, c0 = lider.config.resolve(lider.assignments.shape[0])
-        assert len(parts) == c0
+        assert len(_clusters(parts)) == c0
+
+    def test_query_plans_one_partition(self, saved_index, queries_small):
+        path, _ = saved_index
+        parts = self._reader(path, query=queries_small.emb[0], k=7).partitions()
+        assert len(parts) == 1
+        assert parts[0].value[1] == 7
 
     def test_query_partitions_are_cr_choice(self, saved_index, queries_small):
         path, lider = saved_index
         q = queries_small.emb[1]
         parts = self._reader(path, query=q).partitions()
         expect, _ = lider.centroid_retriever.search(q, km=4)
-        assert [p.value for p in parts] == [int(j) for j in expect]
+        assert _clusters(parts) == [int(j) for j in expect]
 
     def test_c0_option_overrides(self, saved_index, queries_small):
         path, _ = saved_index
         parts = self._reader(path, query=queries_small.emb[0], c0=2).partitions()
-        assert len(parts) == 2
+        assert len(_clusters(parts)) == 2
 
     def test_pushed_equalto_prunes(self, saved_index):
         path, _ = saved_index
         r = self._reader(path)
         leftover = list(r.pushFilters([EqualTo(("cluster_id",), 3)]))
         assert leftover == []
-        assert [p.value for p in r.partitions()] == [3]
+        assert _clusters(r.partitions()) == [3]
 
     def test_pushed_in_prunes(self, saved_index):
         path, _ = saved_index
         r = self._reader(path)
         list(r.pushFilters([In(("cluster_id",), (1, 2))]))
-        assert {p.value for p in r.partitions()} == {1, 2}
+        assert set(_clusters(r.partitions())) == {1, 2}
+
+    def test_read_none_yields_nothing(self, saved_index):
+        """Spark reads ``None`` when ``partitions()`` plans nothing."""
+        path, _ = saved_index
+        r = self._reader(path)
+        list(r.pushFilters([EqualTo(("cluster_id",), 999)]))
+        assert r.partitions() == []
+        assert list(r.read(None)) == []
+
+    def test_read_needs_only_the_partition(self, saved_index, queries_small):
+        """Spark pickles the reader before planning: a copy made then reads
+        the same rows from the planned partition, default ``k`` included."""
+        import pickle
+
+        path, _ = saved_index
+        r = self._reader(path, query=queries_small.emb[3])
+        shipped = pickle.loads(pickle.dumps(r))
+        (part,) = r.partitions()
+        rows = list(shipped.read(part))
+        assert part.value[1] == 100  # meta.json's default_k, resolved at planning
+        assert rows == list(r.read(part))
+        assert [row[1] for row in rows if row[3] == 0] == list(part.value[0])
 
     def test_unsupported_filters_returned(self, saved_index):
         path, _ = saved_index
@@ -174,6 +209,37 @@ class TestReadEnd2End:
             .filter("cluster_id = 2")
         )
         assert df.count() == int((lider.assignments == 2).sum())
+
+    def test_filter_pruning_every_cluster_returns_nothing(self, spark_registered, saved_index):
+        path, _ = saved_index
+        df = spark_registered.read.format("lider").option("path", path).load()
+        assert df.where("cluster_id = 999").collect() == []
+
+    def test_rows_and_merge_match_duckdb_oracle(
+        self, spark_registered, saved_index, queries_small
+    ):
+        """The query's rows are exactly each probed cluster's in-memory
+        top-k, and ``ann_search_df`` is DuckDB's sort-limit over them."""
+        import pandas as pd
+
+        path, lider = saved_index
+        q, k = queries_small.emb[2], 20
+        probed, _ = lider.centroid_retriever.search(q, km=4)
+        rows = []
+        for j in probed:
+            ids, scores = lider.in_cluster[int(j)].search(q, km=k)
+            rows += [(int(i), int(j), float(s), r) for r, (i, s) in enumerate(zip(ids, scores))]
+        expected = pd.DataFrame(rows, columns=["id", "cluster_id", "score", "rank"])
+        loaded = (
+            spark_registered.read.format("lider").option("path", path)
+            .option("query", json.dumps([float(x) for x in q])).option("k", k).load()
+        )
+        assert_equivalent(loaded, "SELECT * FROM expected", expected=expected)
+        assert_equivalent(
+            ann_search_df(spark_registered, path, q, k=k),
+            f"SELECT * FROM expected ORDER BY score DESC LIMIT {k}",
+            expected=expected,
+        )
 
     def test_schema(self, spark_registered, saved_index):
         path, _ = saved_index
