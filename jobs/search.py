@@ -1,5 +1,6 @@
 """ANN search through the "lider" DataSource: an exact centroid scan
-prunes partitions at plan time; in-cluster retrievers run inside the scan;
+picks the clusters at plan time; their in-cluster retrievers run inside
+the query's one partition;
 Catalyst's sort-limit merges the per-cluster top-k.
 
     spark-submit jobs/search.py --index /tmp/lider_msl10k --dataset MSL-10k --query 7

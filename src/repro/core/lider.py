@@ -15,10 +15,10 @@ independently, so their work batches): hash once, predict every (cluster,
 array) location, gather every window with one ``np.take``, union per
 cluster, verify each cluster by exact cosine → merge → global top-k. Each
 step is a helper that ``CoreModel`` search runs as its one-cluster case,
-so the per-cluster calls (and the Spark DataSource partitions) return
-what the fused pass does. A per-query thread pool (§3.3.2's parallel
-retrieval) measured slower at this scale; the Spark DataSource runs
-clusters as parallel partitions.
+so the per-cluster calls, and with them the Spark DataSource's reads,
+return what the fused pass does. A per-query thread pool (§3.3.2's parallel
+retrieval) measured slower at this scale; the Spark DataSource likewise
+searches a query's probed clusters in one partition (one task wave).
 """
 from __future__ import annotations
 

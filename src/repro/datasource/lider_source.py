@@ -165,7 +165,8 @@ class LiderReader(DataSourceReader):
             centroids = np.load(os.path.join(idx_dir, "centroids.npy"), allow_pickle=False)
             check_query(self.query, centroids.shape[1])
             targets, _ = CentroidScan(centroids).search(self.query, km=self.c0 or meta["c0"])
-            clusters = [int(j) for j in targets if int(j) in set(clusters)]
+            known = set(clusters)
+            clusters = [int(j) for j in targets if int(j) in known]
         if self.pushed_clusters is not None:
             clusters = [j for j in clusters if j in self.pushed_clusters]
         if self.query is None:
