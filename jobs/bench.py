@@ -4,8 +4,10 @@ Each commit is exported with ``git archive`` into its own fresh directory,
 and ``perfbench/run.py`` runs there for every (workload, seed) pair,
 alternating which commit runs first. Every printed metric of every run,
 the exact commands and both commit SHAs go to one JSON file, rewritten
-after each run, with a per-metric summary: each side's median and
-quartiles, and how many pairs the change won (ties count for neither).
+after each run, with a summary per workload: each side's runs, attempted
+and failed operations and bad runs (incorrect or nonzero exit), and per
+metric each side's median and quartiles and how many pairs the change won
+(ties count for neither).
 
     python3 jobs/bench.py --base HEAD~1 --change HEAD --workload mem-c40 \\
         --seeds 301 302 303 --seconds 30 --trace 0 --out results/BENCH_x.json
@@ -53,20 +55,37 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
             "wall_s": time.perf_counter() - t0, "result": result}
 
 
+def health(runs: list[dict]) -> dict:
+    """How the runs went: their count, summed ``attempted`` and ``failed``
+    operations, and ``bad_runs``, those with ``correct`` not true or a
+    nonzero return code (a run that printed no result counts as bad)."""
+    return {
+        "runs": len(runs),
+        "attempted": sum(r["result"].get("attempted", 0) for r in runs),
+        "failed": sum(r["result"].get("failed", 0) for r in runs),
+        "bad_runs": sum(r["result"].get("correct") is not True or r["returncode"] != 0
+                        for r in runs),
+    }
+
+
 def summarise(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric: each side's median and quartiles, and the
-    change's wins over the pairs (same workload and seed)."""
+    """Per workload: each side's :func:`health` over all its runs, and per
+    metric each side's median and quartiles and the change's wins over the
+    pairs (same workload and seed) where both sides printed metrics."""
     out: dict = {}
     for w in sorted({r["workload"] for r in runs}):
+        mine = [r for r in runs if r["workload"] == w]
+        out[w] = {"health": {side: health([r for r in mine if r["side"] == side])
+                             for side in ("base", "change")}}
         pairs: dict = {}
-        for r in runs:
-            if r["workload"] == w and "metrics" in r["result"]:
+        for r in mine:
+            if "metrics" in r["result"]:
                 pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
         pairs = {s: p for s, p in pairs.items() if len(p) == 2}
+        out[w]["pairs"] = len(pairs)
         if not pairs:
             continue
         names = next(iter(pairs.values()))["base"].keys()
-        out[w] = {"pairs": len(pairs)}
         for name in names:
             base = np.array([p["base"][name]["value"] for p in pairs.values()])
             change = np.array([p["change"][name]["value"] for p in pairs.values()])

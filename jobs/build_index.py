@@ -1,6 +1,6 @@
 """Build a LIDER index with the distributed Spark dataflow and persist it
-as the "lider" DataSource layout (Parquet embeddings, centroids.npy,
-planes.npy and pickled in-cluster retrievers).
+as the "lider" DataSource layout (Parquet embeddings per cluster, and a
+versioned meta.json beside the centroids and LIDER's stacked arrays as .npy).
 
     spark-submit jobs/build_index.py --dataset MSL-10k --out /tmp/lider_msl10k
 """

@@ -15,10 +15,10 @@ independently, so their work batches): hash once, predict every (cluster,
 array) location, gather every window with one ``np.take``, union per
 cluster, verify each cluster by exact cosine → merge → global top-k. Each
 step is a helper that ``CoreModel`` search runs as its one-cluster case,
-so the per-cluster calls, and with them the Spark DataSource's reads,
-return what the fused pass does. A per-query thread pool (§3.3.2's parallel
-retrieval) measured slower at this scale; the Spark DataSource likewise
-searches a query's probed clusters in one partition (one task wave).
+so the per-cluster calls return what the fused pass (``search_clusters``,
+which the Spark DataSource's reads run too) does. A per-query thread pool
+(§3.3.2's parallel retrieval) measured slower at this scale; the Spark
+DataSource likewise searches a query's probed clusters in one partition.
 """
 from __future__ import annotations
 
@@ -253,8 +253,7 @@ class LIDER:
         self.children = np.zeros((c, 3, h, w))
 
         def fit_one(j: int) -> tuple[int, CoreModel]:
-            part = slice(self.offsets[j], self.offsets[j] + self.sizes[j])
-            return j, fit_cluster(j, self.emb[part], self.ids[part], self.planes)
+            return j, fit_cluster(j, self.emb[self.part(j)], self.ids[self.part(j)], self.planes)
 
         self.in_cluster = {}
         nonempty = [j for j in range(c) if self.sizes[j] > 0]
@@ -268,14 +267,13 @@ class LIDER:
         self.report.stage3_bytes = self.memory_footprint()
 
     # ----------------------------------------------------------------- search
-    def search(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Top-k (external ids, cosine scores) for one query embedding.
+    def part(self, j: int) -> slice:
+        """Cluster j's rows of ``emb`` and ``ids``."""
+        return slice(self.offsets[j], self.offsets[j] + self.sizes[j])
 
-        One pass over the probed clusters on the stacked layout, with the
-        helpers each ``CoreModel`` search runs on its own cluster: hash once
-        at the tensor's full key length and shift per cluster, predict all
-        (c0, H) locations, gather every window with one ``np.take`` and
-        union per cluster, then verify each cluster, and merge. Empty
+    def search(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Top-k (external ids, cosine scores) for one query embedding: the
+        probed clusters' :meth:`search_clusters` results, merged. Empty
         clusters are skipped.
 
         Returns ``min(k, candidates)`` ids: the candidates are the rows the
@@ -293,17 +291,30 @@ class LIDER:
         probed = probed[self.sizes[probed] > 0]
         if probed.size == 0:
             return np.empty(0, np.int64), np.empty(0, np.float32)
-        sizes = self.sizes[probed]
-        keys = query_keys(self.planes, q, self.shifts[probed, None])
-        length = sizes[:, None].astype(np.float64)
-        locs = rmi_locations(self.roots[probed], self.children[probed], length, keys)
-        cands = window_union(self.rows, self.offsets[probed], sizes, locs, self.config.r0 * k)
-        cms = [self.in_cluster[j] for j in probed.tolist()]
-        parts = [verify(cm.emb, cm.ids, rows, q, k) for cm, rows in zip(cms, cands)]
+        parts = self.search_clusters(q, probed, k, [self.emb[self.part(j)] for j in probed])
         all_ids = np.concatenate([p[0] for p in parts])
         all_scores = np.concatenate([p[1] for p in parts])
         top = top_k(all_scores, k)
         return all_ids[top], all_scores[top]
+
+    def search_clusters(
+        self, q: np.ndarray, probed: np.ndarray, k: int, embs: list[np.ndarray]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each probed cluster's top-k (ids, cosine scores), scores
+        descending: what :meth:`search` merges and the Spark DataSource
+        yields. ``probed`` holds non-empty cluster ids, ``embs`` their rows.
+        Hash once and shift per cluster, predict all (clusters, H)
+        locations, gather every window with one ``np.take`` and union per
+        cluster, then verify each cluster."""
+        offsets, sizes = self.offsets[probed], self.sizes[probed]
+        keys = query_keys(self.planes, q, self.shifts[probed, None])
+        length = sizes[:, None].astype(np.float64)
+        locs = rmi_locations(self.roots[probed], self.children[probed], length, keys)
+        cands = window_union(self.rows, offsets, sizes, locs, self.config.r0 * k)
+        return [
+            verify(emb, self.ids[o:o + n], rows, q, k)
+            for emb, o, n, rows in zip(embs, offsets.tolist(), sizes.tolist(), cands)
+        ]
 
     # ------------------------------------------------------------------ stats
     def memory_footprint(self) -> int:

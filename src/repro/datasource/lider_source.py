@@ -2,12 +2,12 @@
 
 Layout written by :func:`save_lider_index`::
 
-    <path>/embeddings/cluster_id=<j>/*.parquet   # (id, emb) per cluster
-    <path>/index/meta.json                       # config, k defaults
-    <path>/index/centroids.npy                   # (c, d) float32 centroids
-    <path>/index/planes.npy                      # (H, M, d) in-cluster planes
-    <path>/index/cluster_<j>.pkl                 # in-cluster core models,
-                                                 # embedding- and plane-free
+    <path>/embeddings/cluster_id=<j>/part-0.parquet  # (id, emb) of cluster j
+    <path>/index/meta.json     # format version, c0, default_k, r0
+    <path>/index/<name>.npy    # each of ARRAYS: centroids + LIDER's layout
+
+Arrays load with ``allow_pickle=False``; a manifest whose version is not
+``FORMAT_VERSION`` is rejected (re-save the index).
 
 Read path (``spark.read.format("lider")``):
 
@@ -18,24 +18,20 @@ Read path (``spark.read.format("lider")``):
   pruning, the ANN analogue of predicate pushdown. One partition costs one
   Python task wave; one partition per probed cluster paid two waves on
   ``local[4]`` while each cluster's search took a few ms. The executor
-  loads the shared planes once, then per probed cluster its Parquet file
-  and pickled in-cluster retriever, runs ``CoreModel.search`` — the
-  one-cluster case of the helpers ``LIDER.search`` runs over all probed
-  clusters, so each cluster returns what the in-memory index finds in it —
-  and yields (id, cluster_id, score, rank) rows; a plain
+  loads the arrays and each probed cluster's Parquet, runs
+  ``LIDER.search_clusters`` — the pass ``LIDER.search`` merges — and
+  yields (id, cluster_id, score, rank) rows; a plain
   ``ORDER BY score DESC LIMIT k`` in Catalyst merges the per-cluster
   top-k — LIDER's stage-3 heap merge expressed as a dataflow.
 * ``pushFilters`` additionally consumes ``cluster_id`` equality/IN filters
   (classic DSv2 pushdown) to prune clusters.
 * Without a query, every cluster is its own partition, so full scans stay
-  parallel (score is NULL, rank −1).
+  parallel; they yield ids from ``ids.npy`` (score NULL, rank −1).
 """
 from __future__ import annotations
 
-import copy
 import json
 import os
-import pickle
 
 import numpy as np
 
@@ -48,74 +44,62 @@ from pyspark.sql.datasource import (
 )
 from pyspark.sql.types import StructType
 
-from repro.core.lider import CentroidScan, check_query
+from repro.core.lider import LIDER, CentroidScan, LIDERConfig, check_query
 
 SCHEMA_DDL = "id long, cluster_id int, score double, rank int"
+FORMAT_VERSION = 1
+# Saved as index/<name>.npy: the centroids and what LIDER.search_clusters
+# reads (the sorted keys are not: search never reads them).
+ARRAYS = ("centroids", "planes", "ids", "offsets", "sizes", "shifts", "rows", "roots", "children")
 
 
 def save_lider_index(lider, path: str) -> None:
-    """Persist a fitted LIDER plus its corpus to the on-disk layout above.
-
-    Embeddings are written once (Parquet, partitioned by cluster) and the
-    in-cluster planes once (``planes.npy``). Each pickled in-cluster
-    retriever is stripped of both, and its other arrays — views of the
-    index's layout — pickle only their own cluster's slice.
-    """
+    """Persist a fitted LIDER plus its corpus to the on-disk layout above:
+    one Parquet file per non-empty cluster, in layout order, and LIDER's
+    own arrays."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    emb_dir = os.path.join(path, "embeddings")
     idx_dir = os.path.join(path, "index")
-    os.makedirs(emb_dir, exist_ok=True)
     os.makedirs(idx_dir, exist_ok=True)
-    for j, cm in lider.in_cluster.items():
-        part_dir = os.path.join(emb_dir, f"cluster_id={j}")
+    for j in np.flatnonzero(lider.sizes).tolist():
+        part_dir = os.path.join(path, "embeddings", f"cluster_id={j}")
         os.makedirs(part_dir, exist_ok=True)
-        n, d = cm.emb.shape
-        offsets = pa.array(np.arange(0, n * d + 1, d, dtype=np.int32))
-        table = pa.table(
-            {
-                "id": pa.array(cm.ids, type=pa.int64()),
-                "emb": pa.ListArray.from_arrays(offsets, pa.array(cm.emb.ravel())),
-            }
-        )
+        emb = lider.emb[lider.part(j)]
+        table = pa.table({"id": lider.ids[lider.part(j)],
+                          "emb": pa.FixedSizeListArray.from_arrays(emb.ravel(), emb.shape[1])})
         pq.write_table(table, os.path.join(part_dir, "part-0.parquet"))
-        stripped = copy.copy(cm)  # shares the index arrays; emb and planes differ
-        stripped.emb = None
-        stripped.esklsh = copy.copy(cm.esklsh)
-        stripped.esklsh.hash_planes = None
-        with open(os.path.join(idx_dir, f"cluster_{j}.pkl"), "wb") as f:
-            pickle.dump(stripped, f)
-    np.save(os.path.join(idx_dir, "centroids.npy"), lider.centroids)
-    np.save(os.path.join(idx_dir, "planes.npy"), lider.planes)
+    for name in ARRAYS:
+        np.save(os.path.join(idx_dir, f"{name}.npy"), getattr(lider, name))
     _, c0 = lider.config.resolve(lider.assignments.shape[0])
     with open(os.path.join(idx_dir, "meta.json"), "w") as f:
-        json.dump(
-            {
-                "clusters": sorted(int(j) for j in lider.in_cluster),
-                "c0": int(c0),
-                "default_k": 100,
-            },
-            f,
-        )
+        json.dump({"version": FORMAT_VERSION, "c0": int(c0), "default_k": 100,
+                   "r0": lider.config.r0}, f)
+
+
+def _load(path: str, *names: str) -> tuple[dict, list[np.ndarray]]:
+    """``meta.json`` and the named ``.npy`` arrays; ValueError unless the
+    manifest's version is ``FORMAT_VERSION``."""
+    idx_dir = os.path.join(path, "index")
+    with open(os.path.join(idx_dir, "meta.json")) as f:
+        meta = json.load(f)
+    if meta.get("version") != FORMAT_VERSION:
+        raise ValueError(f"{path}: index format version {meta.get('version')!r}, expected "
+                         f"{FORMAT_VERSION}; re-save the index with save_lider_index")
+    return meta, [np.load(os.path.join(idx_dir, f"{n}.npy"), allow_pickle=False) for n in names]
 
 
 def _load_cluster_embeddings(path: str, j: int, ids: np.ndarray) -> np.ndarray:
-    """Read one cluster's Parquet and align rows to the retriever's ids."""
+    """Cluster j's float32 rows; ValueError unless its Parquet holds
+    ``ids`` in order (``save_lider_index`` writes them in layout order)."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     table = pq.read_table(os.path.join(path, "embeddings", f"cluster_id={j}"))
-    file_ids = table.column("id").to_numpy()
+    if not np.array_equal(table.column("id").to_numpy(), ids):
+        raise ValueError(f"cluster {j}: the Parquet ids in {path} differ from ids.npy")
     values = pc.list_flatten(table.column("emb")).to_numpy()
-    emb = values.astype(np.float32, copy=False).reshape(file_ids.shape[0], -1)
-    order = np.argsort(file_ids, kind="stable")
-    pos = np.minimum(np.searchsorted(file_ids, ids, sorter=order), order.size - 1)
-    rows = order[pos]
-    if not np.array_equal(file_ids[rows], ids):
-        missing = ids[file_ids[rows] != ids]
-        raise ValueError(f"cluster {j}: ids {missing[:5].tolist()} missing from {path}")
-    return emb[rows]
+    return values.astype(np.float32, copy=False).reshape(ids.shape[0], -1)
 
 
 class LiderReader(DataSourceReader):
@@ -126,8 +110,8 @@ class LiderReader(DataSourceReader):
         self.path = options.get("path")
         if not self.path:
             raise ValueError("lider source requires a path")
-        self.k = int(options.get("k", 0) or 0)
-        self.c0 = int(options.get("c0", 0) or 0)
+        # None when absent: meta.json's default_k / c0 then apply.
+        self.k, self.c0 = (None if options.get(o) is None else int(options[o]) for o in ("k", "c0"))
         q = options.get("query")
         self.query = None if q is None else np.asarray(json.loads(q), dtype=np.float32)
         self.pushed_clusters: set[int] | None = None
@@ -149,48 +133,52 @@ class LiderReader(DataSourceReader):
                 yield f
 
     def partitions(self):
-        """One partition per query, or one per cluster without a query.
+        """One partition per query, or one per non-empty cluster without a
+        query.
 
         Each value is ``(cluster ids, k)``, with ``k`` None on a full scan:
         Spark pickles the reader before planning, so ``read`` sees only
         what ``__init__`` set and what the partition carries. Raises
-        ValueError for a query that is not a finite unit vector of the
-        index's dimension.
+        ValueError for a ``k`` or ``c0`` option below 1, an index whose
+        format version is not ``FORMAT_VERSION``, or a query that is not a
+        finite unit vector of the index's dimension.
         """
-        idx_dir = os.path.join(self.path, "index")
-        with open(os.path.join(idx_dir, "meta.json")) as f:
-            meta = json.load(f)
-        clusters = meta["clusters"]
-        if self.query is not None:
-            centroids = np.load(os.path.join(idx_dir, "centroids.npy"), allow_pickle=False)
+        for name, value in (("k", self.k), ("c0", self.c0)):
+            if value is not None and value < 1:
+                raise ValueError(f"option {name} must be at least 1, got {value}")
+        meta, (sizes, centroids) = _load(self.path, "sizes", "centroids")
+        if self.query is None:
+            clusters = np.flatnonzero(sizes).tolist()
+        else:
             check_query(self.query, centroids.shape[1])
-            targets, _ = CentroidScan(centroids).search(self.query, km=self.c0 or meta["c0"])
-            known = set(clusters)
-            clusters = [int(j) for j in targets if int(j) in known]
+            c0 = meta["c0"] if self.c0 is None else self.c0
+            targets, _ = CentroidScan(centroids).search(self.query, km=c0)
+            clusters = [int(j) for j in targets if sizes[j] > 0]
         if self.pushed_clusters is not None:
             clusters = [j for j in clusters if j in self.pushed_clusters]
         if self.query is None:
             return [InputPartition(((j,), None)) for j in clusters]
-        return [InputPartition((tuple(clusters), self.k or meta["default_k"]))] if clusters else []
+        k = meta["default_k"] if self.k is None else self.k
+        return [InputPartition((tuple(clusters), k))] if clusters else []
 
     def read(self, partition: InputPartition | None):
         if partition is None:  # Spark's stand-in when partitions() is empty
             return
         clusters, k = partition.value
-        idx_dir = os.path.join(self.path, "index")
-        planes = np.load(os.path.join(idx_dir, "planes.npy"), allow_pickle=False)
-        for j in clusters:
-            with open(os.path.join(idx_dir, f"cluster_{j}.pkl"), "rb") as f:
-                cm = pickle.load(f)
-            cm.esklsh.hash_planes = planes
-            cm.emb = _load_cluster_embeddings(self.path, j, cm.ids)
-            if k is None:
-                for pid in cm.ids:
-                    yield (int(pid), j, None, -1)
-                continue
-            ids, scores = cm.search(self.query, km=k)
-            for rank, (pid, s) in enumerate(zip(ids, scores)):
-                yield (int(pid), j, float(s), rank)
+        meta, arrays = _load(self.path, *ARRAYS)
+        lider = LIDER(LIDERConfig(r0=meta["r0"]))  # bare: only what search_clusters reads
+        for name, array in zip(ARRAYS, arrays):
+            setattr(lider, name, array)
+        if k is None:
+            for j in clusters:
+                for pid in lider.ids[lider.part(j)].tolist():
+                    yield (pid, j, None, -1)
+            return
+        embs = [_load_cluster_embeddings(self.path, j, lider.ids[lider.part(j)]) for j in clusters]
+        parts = lider.search_clusters(self.query, np.asarray(clusters), k, embs)
+        for j, (ids, scores) in zip(clusters, parts):
+            for rank, (pid, s) in enumerate(zip(ids.tolist(), scores.tolist())):
+                yield (pid, j, s, rank)
 
 
 class LiderDataSource(DataSource):

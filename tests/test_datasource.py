@@ -2,6 +2,7 @@
 centroid scan, cluster_id filter pushdown, and result equality with the
 in-memory index."""
 import json
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from repro.core.lider import LIDER, LIDERConfig
 from repro.oracle import assert_equivalent
 from repro.datasource import register_lider_source, save_lider_index
-from repro.datasource.lider_source import LiderReader, ann_search_df
+from repro.datasource.lider_source import ARRAYS, FORMAT_VERSION, LiderReader, ann_search_df
 from pyspark.sql.datasource import EqualTo, GreaterThan, In
 
 
@@ -32,47 +33,39 @@ def spark_registered(spark):
 
 class TestLayout:
     def test_files_written(self, saved_index):
-        import os
-
         path, lider = saved_index
         idx_dir = os.path.join(path, "index")
-        assert os.path.exists(os.path.join(idx_dir, "meta.json"))
+        # The manifest and one .npy per array: no pickles.
+        names = "centroids planes ids offsets sizes shifts rows roots children".split()
+        assert set(os.listdir(idx_dir)) == {"meta.json"} | {f"{n}.npy" for n in names}
         centroids = np.load(os.path.join(idx_dir, "centroids.npy"), allow_pickle=False)
         assert np.array_equal(centroids, lider.centroids)
-        # The in-cluster retrievers are the only pickles: none for the centroids.
-        pickles = {f for f in os.listdir(idx_dir) if f.endswith(".pkl")}
-        assert pickles == {f"cluster_{j}.pkl" for j in lider.in_cluster}
         for j in lider.in_cluster:
             assert os.path.isdir(os.path.join(path, "embeddings", f"cluster_id={j}"))
 
     def test_pickles_are_embedding_free(self, saved_index):
-        import os
-        import pickle
-
+        """Every index file is the manifest or an array that loads without
+        pickle, and none holds the embeddings."""
         path, lider = saved_index
-        j = next(iter(lider.in_cluster))
-        with open(os.path.join(path, "index", f"cluster_{j}.pkl"), "rb") as f:
-            cm = pickle.load(f)
-        assert cm.emb is None and cm.ids is not None
-        assert cm.esklsh.hash_planes is None  # saved once, in planes.npy
+        idx_dir = os.path.join(path, "index")
+        n, d = lider.emb.shape
+        total = 0
+        for name in os.listdir(idx_dir):
+            if name == "meta.json":
+                continue
+            a = np.load(os.path.join(idx_dir, name), allow_pickle=False)
+            assert a.dtype != object
+            assert not (a.dtype.kind == "f" and a.shape[0] == n)  # no (n, …) float rows
+            total += a.nbytes
+        assert total < lider.emb.nbytes
 
-    def test_cluster_pickle_holds_only_its_slice(self, tmp_path, corpus_small, clustered_small):
-        """Cluster 0's pickle is the same bytes whether the rest of the
-        corpus forms 1 or 7 other clusters: its layout views pickle only
-        their own slice."""
-        import os
-
-        cents, assign = clustered_small
-        sizes = []
-        for c in (2, 8):
-            lider = LIDER(LIDERConfig(c=c, c0=2)).fit(
-                corpus_small.emb, assignments=np.minimum(assign, c - 1), centroids=cents[:c]
-            )
-            path = str(tmp_path / f"c{c}")
-            save_lider_index(lider, path)
-            sizes.append(os.path.getsize(os.path.join(path, "index", "cluster_0.pkl")))
-            assert sizes[-1] < lider.rows.nbytes
-        assert sizes[0] == sizes[1]
+    def test_cluster_pickle_holds_only_its_slice(self, saved_index):
+        """The saved arrays are the in-memory layout's, dtype included."""
+        path, lider = saved_index
+        for name in ARRAYS:
+            got = np.load(os.path.join(path, "index", f"{name}.npy"), allow_pickle=False)
+            want = getattr(lider, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def _clusters(parts):
@@ -151,6 +144,75 @@ class TestReaderPlanning:
         assert part.value[1] == 100  # meta.json's default_k, resolved at planning
         assert rows == list(r.read(part))
         assert [row[1] for row in rows if row[3] == 0] == list(part.value[0])
+
+    @pytest.mark.parametrize("k", [0, -5])
+    def test_k_below_one_raises(self, saved_index, queries_small, k):
+        path, _ = saved_index
+        with pytest.raises(ValueError, match="option k must be at least 1"):
+            self._reader(path, query=queries_small.emb[0], k=k).partitions()
+
+    @pytest.mark.parametrize("c0", [0, -2])
+    def test_c0_below_one_raises(self, saved_index, queries_small, c0):
+        path, _ = saved_index
+        with pytest.raises(ValueError, match="option c0 must be at least 1"):
+            self._reader(path, query=queries_small.emb[0], c0=c0).partitions()
+
+    @pytest.mark.parametrize("k", [20, 100])
+    def test_read_equals_cluster_searches(self, saved_index, queries_small, monkeypatch, k):
+        """Drained without Spark, ``read`` yields each probed cluster's
+        in-memory ``CoreModel.search`` top-k, ids and scores exactly. It
+        builds no core model and runs ``LIDER.search_clusters``, the pass
+        ``LIDER.search`` merges. At k=100 the r0·k windows are clipped to
+        the clusters, so window widths differ across probed clusters."""
+        from repro.core.core_model import CoreModel
+
+        path, lider = saved_index
+        calls = []
+        search_clusters = LIDER.search_clusters
+
+        def spy(self, *args):
+            calls.append(args[1])
+            return search_clusters(self, *args)
+
+        def no_core_model(self, config):
+            raise AssertionError("read built a CoreModel")
+
+        monkeypatch.setattr(LIDER, "search_clusters", spy)
+        monkeypatch.setattr(CoreModel, "__init__", no_core_model)
+        r, mixed_widths = lider.config.r0 * k, 0
+        for q in queries_small.emb[:10]:
+            (part,) = self._reader(path, query=q, k=k).partitions()
+            rows = list(self._reader(path, query=q).read(part))
+            clusters = list(part.value[0])
+            assert [int(j) for j in calls.pop()] == clusters
+            for j in clusters:
+                ids, scores = lider.in_cluster[j].search(q, km=k)
+                got = [row for row in rows if row[1] == j]
+                assert [row[3] for row in got] == list(range(ids.size))
+                assert np.array_equal([row[0] for row in got], ids)
+                assert np.array_equal(np.float32([row[2] for row in got]), scores)
+            mixed_widths += np.unique(np.minimum(r, lider.sizes[clusters])).size > 1
+        assert (mixed_widths > 0) == (k == 100)
+
+    @pytest.mark.parametrize("version", [FORMAT_VERSION + 1, None], ids=["bumped", "missing"])
+    def test_manifest_version_raises(self, saved_index, tmp_path, version):
+        """An index saved in another format (e.g. before the manifest had a
+        version) is rejected, not misread."""
+        import shutil
+
+        path, _ = saved_index
+        copy = str(tmp_path / "idx")
+        shutil.copytree(path, copy)
+        meta_path = os.path.join(copy, "index", "meta.json")
+        with open(meta_path) as f:
+            meta = json.load(f)
+        meta.pop("version")
+        if version is not None:
+            meta["version"] = version
+        with open(meta_path, "w") as f:
+            json.dump(meta, f)
+        with pytest.raises(ValueError, match="format version"):
+            self._reader(copy).partitions()
 
     def test_unsupported_filters_returned(self, saved_index):
         path, _ = saved_index

@@ -1,6 +1,11 @@
 """Tests for the on-disk embedding files of a saved LIDER index, read back
-without Spark: row alignment to a retriever's ids and missing ids."""
+without Spark: each cluster's Parquet holds its slice of the layout, in
+layout order, and a file whose ids differ from ``ids.npy`` is rejected."""
+import os
+import shutil
+
 import numpy as np
+import pyarrow.parquet as pq
 import pytest
 
 from repro.datasource import save_lider_index
@@ -14,19 +19,32 @@ def saved(tmp_path_factory, lider_small):
     return path, lider_small
 
 
+def _saved_ids(path: str, lider, j: int) -> np.ndarray:
+    ids = np.load(os.path.join(path, "index", "ids.npy"), allow_pickle=False)
+    return ids[lider.part(j)]
+
+
 class TestClusterEmbeddings:
     def test_rows_align_to_requested_ids(self, saved):
         path, lider = saved
-        j, cm = next(iter(lider.in_cluster.items()))
-        perm = np.random.default_rng(0).permutation(cm.n)
-        got = _load_cluster_embeddings(path, j, cm.ids[perm])
-        assert got.dtype == np.float32
-        assert np.array_equal(got, cm.emb[perm])
+        for j in lider.in_cluster:
+            got = _load_cluster_embeddings(path, j, _saved_ids(path, lider, j))
+            assert got.dtype == np.float32
+            assert np.array_equal(got, lider.emb[lider.part(j)])
 
-    def test_missing_id_raises(self, saved):
+    def test_missing_id_raises(self, saved, tmp_path):
+        """A cluster's Parquet whose ids differ from its ``ids.npy`` slice
+        (a changed id, or the same ids in another order) raises."""
         path, lider = saved
-        j, cm = next(iter(lider.in_cluster.items()))
-        ids = cm.ids.copy()
-        ids[3] = ids.max() + 1
-        with pytest.raises(ValueError, match="missing"):
-            _load_cluster_embeddings(path, j, ids)
+        j = next(iter(lider.in_cluster))
+        copy = str(tmp_path / "idx")
+        shutil.copytree(path, copy)
+        file = os.path.join(copy, "embeddings", f"cluster_id={j}", "part-0.parquet")
+        table = pq.read_table(file)
+        ids = _saved_ids(copy, lider, j)
+        changed = ids.copy()
+        changed[3] = ids.max() + 1
+        for bad in (table.set_column(0, "id", [changed]), table.take(np.arange(len(ids))[::-1])):
+            pq.write_table(bad, file)
+            with pytest.raises(ValueError, match="differ from ids.npy"):
+                _load_cluster_embeddings(copy, j, ids)
