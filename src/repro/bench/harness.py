@@ -22,7 +22,7 @@ from repro.baselines import (
     PQIndex,
     SKLSHIndex,
 )
-from repro.core.lider import LIDER, LIDERConfig
+from repro.core.lider import LIDER, LIDERConfig, check_corpus
 from repro.embeddings.corpus import QuerySet
 from repro.metrics import measure_aqt, mrr_at_k, ndcg_at_k
 
@@ -81,7 +81,9 @@ class EvalRow:
 
 
 def build_method(name: str, emb: np.ndarray, ids: np.ndarray | None = None) -> tuple[ANNIndex, float]:
-    """Construct + fit one method; returns (index, build seconds)."""
+    """Construct + fit one method on a corpus ``check_corpus`` accepts;
+    returns (index, build seconds)."""
+    emb, ids = check_corpus(emb, ids)
     idx = METHODS[name](emb.shape[0])
     t0 = time.perf_counter()
     idx.fit(emb, ids)

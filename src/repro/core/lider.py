@@ -5,9 +5,10 @@ Build (staged as Table 5 reports; the paper's Stage 2, a learned
   * Stage 1 — spherical k-means clusters the corpus into ``c`` groups;
   * Stage 3 — the corpus is permuted once into cluster order, one core
     model per cluster (the *in-cluster retrievers*) is fitted on its slice
-    in a thread pool (clusters are independent), and ``LIDER.assemble``
-    stacks their sorted rows and folded RMI parameters into one layout that
-    every retriever views.
+    in one plain loop (a thread pool over the clusters, §3.3.2's parallel
+    build, measured no faster), and ``LIDER.assemble`` stacks their sorted
+    rows and folded RMI parameters into one layout that every retriever
+    views.
 
 Search: exact centroid scan → top-``c0`` clusters → one fused pass over
 the probed clusters on the stacked layout (§4.3: the IRs' arrays expand
@@ -23,7 +24,6 @@ DataSource likewise searches a query's probed clusters in one partition.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,7 +123,6 @@ class LIDERConfig:
     rescale: bool = True
     base_seed: int = 1234
     kmeans_iters: int = 20
-    build_workers: int = 8
 
     def resolve(self, n: int) -> tuple[int, int]:
         c = self.c if self.c is not None else max(4, min(n, n // self.target_cluster_size))
@@ -252,18 +251,14 @@ class LIDER:
         self.roots = np.zeros((c, 3, h))
         self.children = np.zeros((c, 3, h, w))
 
-        def fit_one(j: int) -> tuple[int, CoreModel]:
-            return j, fit_cluster(j, self.emb[self.part(j)], self.ids[self.part(j)], self.planes)
-
         self.in_cluster = {}
-        nonempty = [j for j in range(c) if self.sizes[j] > 0]
-        with ThreadPoolExecutor(max_workers=self.config.build_workers) as pool:
-            for j, cm in pool.map(fit_one, nonempty):
-                block = self.rows[h * self.offsets[j]:h * (self.offsets[j] + self.sizes[j])]
-                block = block.reshape(h, -1)
-                block[:], self.roots[j], self.children[j] = cm.esklsh.rows, cm.roots, cm.children
-                cm.esklsh.rows, cm.roots, cm.children = block, self.roots[j], self.children[j]
-                self.in_cluster[j] = cm
+        for j in np.flatnonzero(self.sizes).tolist():
+            cm = fit_cluster(j, self.emb[self.part(j)], self.ids[self.part(j)], self.planes)
+            block = self.rows[h * self.offsets[j]:h * (self.offsets[j] + self.sizes[j])]
+            block = block.reshape(h, -1)
+            block[:], self.roots[j], self.children[j] = cm.esklsh.rows, cm.roots, cm.children
+            cm.esklsh.rows, cm.roots, cm.children = block, self.roots[j], self.children[j]
+            self.in_cluster[j] = cm
         self.report.stage3_bytes = self.memory_footprint()
 
     # ----------------------------------------------------------------- search

@@ -5,18 +5,20 @@ latency tables measure; this module builds the *same* index with Spark —
 the distributed_dataflow formulation the reproduction targets:
 
   1. **Stage 1 — clustering**: ``pyspark.ml.clustering.KMeans`` over the
-     corpus DataFrame (arrays → ml vectors);
+     corpus DataFrame (arrays → ml vectors), or injected assignments;
   2. **in-cluster retrievers**: one ``groupBy("cluster_id").applyInPandas``
      in which each cluster, its rows in corpus order, runs the driver's own
-     ``CoreModel.fit`` and returns, per array, the sorted keys, the sorted
-     rows and the folded RMI parameters;
+     ``CoreModel.fit`` and returns one row: its sorted keys, sorted rows and
+     folded RMI parameters, each raveled;
   3. **driver assembly**: ``LIDER.assemble``, the function ``LIDER.fit``
      fills its layout with, permutes the corpus into cluster order and
      takes each cluster's model from ``CoreModel.from_parts`` over its
      slices, the fitted arrays and the index's one in-cluster hyperplane
      tensor.
 
-Hashing, the row tie-break and the RMI folding are those of
+Spark rows carry their corpus row position as ``id``: the driver collects
+the KMeans assignments by position, nothing is joined, and the external ids
+reach only ``LIDER.assemble``. Hashing, the row tie-break and the RMI folding are those of
 ``CoreModel.fit``, so given identical cluster assignments the assembled
 index is bit-identical to the driver build for any ids (asserted in
 tests/test_spark_build.py).
@@ -30,10 +32,7 @@ from pyspark.sql import DataFrame, SparkSession, functions as F
 from repro.core.core_model import CoreModel, CoreModelConfig
 from repro.core.lider import IN_CLUSTER_GROUP, LIDER, LIDERConfig, check_corpus
 
-FIT_SCHEMA = (
-    "cluster_id int, array_id int, "
-    "keys array<long>, rows array<int>, params array<double>"
-)
+FIT_SCHEMA = "cluster_id int, keys array<long>, rows array<int>, params array<double>"
 
 
 def cluster_with_spark_kmeans(
@@ -57,26 +56,21 @@ def cluster_with_spark_kmeans(
 
 
 def spark_fit_clusters(df: DataFrame, config: CoreModelConfig) -> DataFrame:
-    """(id, pos, cluster_id, emb) → one row per (cluster, array) of its fitted
-    in-cluster retriever: sorted keys, sorted rows (positions among the
-    cluster's members in ``pos`` order) and the array's ``fold_rmi``
-    parameters, raveled from (3, 1 + W)."""
+    """(id, cluster_id, emb), ``id`` the corpus row position → one row per
+    cluster of its fitted in-cluster retriever: the (H, n_j) sorted keys and
+    sorted rows (positions among the cluster's members in ``id`` order) and
+    the (3, H, 1 + W) ``fold_rmi`` parameters, each raveled."""
 
     def fit(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.sort_values("pos")
-        emb = np.vstack(pdf["emb"].to_numpy()).astype(np.float32)
-        cm = CoreModel(config).fit(emb, pdf["id"].to_numpy(dtype=np.int64))
-        params = np.concatenate([cm.roots[:, :, None], cm.children], axis=2)  # (3, H, 1 + W)
-        h = config.h
-        return pd.DataFrame(
-            {
-                "cluster_id": int(pdf["cluster_id"].iloc[0]),
-                "array_id": np.arange(h, dtype=np.int32),
-                "keys": list(cm.esklsh.keys.astype(np.int64)),
-                "rows": list(cm.esklsh.rows),
-                "params": [params[:, i].ravel() for i in range(h)],
-            }
-        )
+        pdf = pdf.sort_values("id")
+        cm = CoreModel(config).fit(np.vstack(pdf["emb"].to_numpy()).astype(np.float32))
+        params = np.concatenate([cm.roots[:, :, None], cm.children], axis=2)
+        return pd.DataFrame({
+            "cluster_id": [int(pdf["cluster_id"].iloc[0])],
+            "keys": [cm.esklsh.keys.astype(np.int64).ravel()],
+            "rows": [cm.esklsh.rows.ravel()],
+            "params": [params.ravel()],
+        })
 
     return df.groupBy("cluster_id").applyInPandas(fit, schema=FIT_SCHEMA)
 
@@ -104,31 +98,27 @@ def build_lider_spark(
     config = config or LIDERConfig()
     c, _ = config.resolve(n)
 
-    corpus = EmbeddingCorpus(emb=emb, semantic=emb, topic=np.zeros(n, np.int32), ids=ids)
-    df = corpus_to_spark(spark, corpus)
+    # No ids given: the Spark rows' id is their row position.
+    corpus = EmbeddingCorpus(emb=emb, semantic=emb, topic=np.zeros(n, np.int32))
     if assignments is None or centroids is None:
-        centroids, assigned_df = cluster_with_spark_kmeans(spark, df, c, seed=config.base_seed)
-        assignments = (
-            assigned_df.select("id", "cluster_id").toPandas().set_index("id")
-            .loc[ids, "cluster_id"].to_numpy(dtype=np.int32)
+        centroids, df = cluster_with_spark_kmeans(
+            spark, corpus_to_spark(spark, corpus), c, seed=config.base_seed
         )
-    assignments = np.asarray(assignments, dtype=np.int32)
-    assign_pdf = pd.DataFrame({"id": ids, "pos": np.arange(n), "cluster_id": assignments})
-    assign_df = spark.createDataFrame(assign_pdf, schema="id long, pos long, cluster_id int")
+        assigned = df.select("id", "cluster_id").toPandas()
+        assignments = np.empty(n, dtype=np.int32)
+        assignments[assigned["id"].to_numpy()] = assigned["cluster_id"].to_numpy()
+    else:
+        df = corpus_to_spark(spark, corpus, assignments)
     in_cfg = config.core_config(IN_CLUSTER_GROUP)
-    fitted = (
-        spark_fit_clusters(df.join(assign_df, "id"), in_cfg).toPandas()
-        .sort_values(["cluster_id", "array_id"])
-    )
-
-    fitted = {int(j): grp for j, grp in fitted.groupby("cluster_id")}
+    fitted = {int(r.cluster_id): r for r in spark_fit_clusters(df, in_cfg).toPandas().itertuples()}
 
     def from_spark(j, emb_j, ids_j, planes):
-        grp = fitted[j]
-        params = np.stack([np.reshape(p, (3, -1)) for p in grp["params"]], axis=1)
+        row = fitted[j]
+        params = np.reshape(row.params, (3, in_cfg.h, -1))
         return CoreModel.from_parts(
-            in_cfg, emb_j, ids_j, np.stack(grp["keys"].to_list()), np.stack(grp["rows"].to_list()),
-            params[:, :, 0], params[:, :, 1:], planes=planes,
+            in_cfg, emb_j, ids_j, np.reshape(row.keys, (in_cfg.h, -1)),
+            np.reshape(row.rows, (in_cfg.h, -1)), params[:, :, 0], params[:, :, 1:],
+            planes=planes,
         )
 
     lider = LIDER(config)

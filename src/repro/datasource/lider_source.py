@@ -26,12 +26,14 @@ Read path (``spark.read.format("lider")``):
 * ``pushFilters`` additionally consumes ``cluster_id`` equality/IN filters
   (classic DSv2 pushdown) to prune clusters.
 * Without a query, every cluster is its own partition, so full scans stay
-  parallel; they yield ids from ``ids.npy`` (score NULL, rank −1).
+  parallel; they load only ``ids``, ``offsets`` and ``sizes`` and yield
+  ids from ``ids.npy`` (score NULL, rank −1).
 """
 from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import numpy as np
 
@@ -56,10 +58,14 @@ ARRAYS = ("centroids", "planes", "ids", "offsets", "sizes", "shifts", "rows", "r
 def save_lider_index(lider, path: str) -> None:
     """Persist a fitted LIDER plus its corpus to the on-disk layout above:
     one Parquet file per non-empty cluster, in layout order, and LIDER's
-    own arrays."""
+    own arrays. The ``index/`` and ``embeddings/`` trees of an earlier save
+    to ``path`` are removed first; nothing else under ``path`` is touched."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
+    for tree in ("index", "embeddings"):
+        if os.path.exists(os.path.join(path, tree)):
+            shutil.rmtree(os.path.join(path, tree))
     idx_dir = os.path.join(path, "index")
     os.makedirs(idx_dir, exist_ok=True)
     for j in np.flatnonzero(lider.sizes).tolist():
@@ -119,13 +125,8 @@ class LiderReader(DataSourceReader):
     def pushFilters(self, filters):
         """Consume cluster_id equality/IN filters; pass the rest back."""
         for f in filters:
-            if isinstance(f, EqualTo) and f.attribute == ("cluster_id",):
-                keep = {int(f.value)}
-                self.pushed_clusters = (
-                    keep if self.pushed_clusters is None else self.pushed_clusters & keep
-                )
-            elif isinstance(f, In) and f.attribute == ("cluster_id",):
-                keep = {int(v) for v in f.value}
+            if isinstance(f, (EqualTo, In)) and f.attribute == ("cluster_id",):
+                keep = {int(v) for v in (f.value if isinstance(f, In) else (f.value,))}
                 self.pushed_clusters = (
                     keep if self.pushed_clusters is None else self.pushed_clusters & keep
                 )
@@ -165,9 +166,10 @@ class LiderReader(DataSourceReader):
         if partition is None:  # Spark's stand-in when partitions() is empty
             return
         clusters, k = partition.value
-        meta, arrays = _load(self.path, *ARRAYS)
+        names = ("ids", "offsets", "sizes") if k is None else ARRAYS  # a full scan reads ids only
+        meta, arrays = _load(self.path, *names)
         lider = LIDER(LIDERConfig(r0=meta["r0"]))  # bare: only what search_clusters reads
-        for name, array in zip(ARRAYS, arrays):
+        for name, array in zip(names, arrays):
             setattr(lider, name, array)
         if k is None:
             for j in clusters:

@@ -123,6 +123,33 @@ class TestReaderPlanning:
         list(r.pushFilters([In(("cluster_id",), (1, 2))]))
         assert set(_clusters(r.partitions())) == {1, 2}
 
+    def test_pushed_equalto_and_in_intersect(self, saved_index):
+        path, _ = saved_index
+        r = self._reader(path)
+        leftover = list(r.pushFilters([EqualTo(("cluster_id",), 3), In(("cluster_id",), (3, 5))]))
+        assert leftover == []
+        assert _clusters(r.partitions()) == [3]
+
+    def test_full_scan_reads_only_ids(self, saved_index, queries_small, tmp_path):
+        """A full scan needs ``ids``, ``offsets`` and ``sizes`` only: it reads
+        the whole corpus from a copy without the search arrays, where a
+        query read fails."""
+        import shutil
+
+        path, lider = saved_index
+        copy = str(tmp_path / "idx")
+        shutil.copytree(path, copy)
+        for name in ("rows", "planes", "children"):
+            os.remove(os.path.join(copy, "index", f"{name}.npy"))
+        r = self._reader(copy)
+        rows = [row for p in r.partitions() for row in r.read(p)]
+        assert sorted(row[0] for row in rows) == sorted(lider.ids.tolist())
+        assert all(row[1] == lider.assignments[row[0]] for row in rows)
+        r = self._reader(copy, query=queries_small.emb[0])
+        (part,) = r.partitions()
+        with pytest.raises(FileNotFoundError):
+            list(r.read(part))
+
     def test_read_none_yields_nothing(self, saved_index):
         """Spark reads ``None`` when ``partitions()`` plans nothing."""
         path, _ = saved_index

@@ -8,8 +8,9 @@ import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
+from repro.core.lider import LIDER, LIDERConfig
 from repro.datasource import save_lider_index
-from repro.datasource.lider_source import _load_cluster_embeddings
+from repro.datasource.lider_source import ARRAYS, _load_cluster_embeddings
 
 
 @pytest.fixture(scope="module")
@@ -48,3 +49,21 @@ class TestClusterEmbeddings:
             pq.write_table(bad, file)
             with pytest.raises(ValueError, match="differ from ids.npy"):
                 _load_cluster_embeddings(copy, j, ids)
+
+
+def test_resave_leaves_no_stale_files(tmp_path, corpus_small, lider_small):
+    """Saving a 4-cluster index over an 8-cluster one removes the old
+    clusters' files, and only the trees the format owns."""
+    path = str(tmp_path)
+    with open(tmp_path / "notes.txt", "w") as f:
+        f.write("kept")
+    save_lider_index(lider_small, path)
+    four = LIDER(LIDERConfig(c=4, c0=2)).fit(corpus_small.emb)
+    save_lider_index(four, path)
+    assert set(os.listdir(os.path.join(path, "embeddings"))) == {
+        f"cluster_id={j}" for j in four.in_cluster
+    }
+    assert set(os.listdir(os.path.join(path, "index"))) == {"meta.json"} | {
+        f"{n}.npy" for n in ARRAYS
+    }
+    assert (tmp_path / "notes.txt").read_text() == "kept"

@@ -25,6 +25,26 @@ def make_ids(kind: str, n: int) -> np.ndarray:
     return np.random.default_rng(0).permutation(n).astype(np.int64) * 3 + 11
 
 
+def assert_same_index(driver: LIDER, dist: LIDER) -> None:
+    """Every layout array, and every cluster's ids, sorted keys, rows and
+    folded parameters, equal; each index's retrievers view its layout."""
+    assert driver.in_cluster.keys() == dist.in_cluster.keys()
+    for name in LAYOUT:
+        assert np.array_equal(getattr(driver, name), getattr(dist, name))
+    assert_layout_views(driver)
+    assert_layout_views(dist)
+    for j, cm in driver.in_cluster.items():
+        other = dist.in_cluster[j]
+        assert np.shares_memory(cm.esklsh.planes, driver.planes)
+        assert np.shares_memory(other.esklsh.planes, dist.planes)
+        assert np.array_equal(cm.ids, other.ids)
+        for arr_a, arr_b in zip(cm.esklsh.arrays, other.esklsh.arrays, strict=True):
+            assert np.array_equal(arr_a.keys, arr_b.keys)
+            assert np.array_equal(arr_a.rows, arr_b.rows)
+        for name in PARAMS:
+            assert np.array_equal(getattr(cm, name), getattr(other, name))
+
+
 @pytest.fixture(scope="module")
 def spark_df(spark, corpus_small, clustered_small):
     _, assign = clustered_small
@@ -56,21 +76,7 @@ class TestEndToEnd:
         cents, assign = clustered_small
         ids, dist = spark_built(kind)
         driver = LIDER(CFG).fit(corpus_small.emb, ids, assignments=assign, centroids=cents)
-        assert driver.in_cluster.keys() == dist.in_cluster.keys()
-        for name in LAYOUT:
-            assert np.array_equal(getattr(driver, name), getattr(dist, name))
-        assert_layout_views(driver)
-        assert_layout_views(dist)
-        for j, cm in driver.in_cluster.items():
-            other = dist.in_cluster[j]
-            assert np.shares_memory(cm.esklsh.planes, driver.planes)
-            assert np.shares_memory(other.esklsh.planes, dist.planes)
-            assert np.array_equal(cm.ids, other.ids)
-            for arr_a, arr_b in zip(cm.esklsh.arrays, other.esklsh.arrays, strict=True):
-                assert np.array_equal(arr_a.keys, arr_b.keys)
-                assert np.array_equal(arr_a.rows, arr_b.rows)
-            for name in PARAMS:
-                assert np.array_equal(getattr(cm, name), getattr(other, name))
+        assert_same_index(driver, dist)
         for q in queries_small.emb:
             ids_a, sc_a = driver.search(q, 30)
             ids_b, sc_b = dist.search(q, 30)
@@ -151,6 +157,33 @@ class TestEndToEnd:
         emb[7] *= 1.01
         with pytest.raises(ValueError, match="unit-norm"):
             build_lider_spark(spark, emb, config=CFG)
+
+    def test_spark_kmeans_build_equals_driver_build(self, spark, corpus_small, monkeypatch):
+        """On the KMeans path with permuted external ids, assignment i is
+        the cluster of Spark row i (id = row position), and the index equals
+        the driver build on those clusters."""
+        from repro.core import spark_build
+
+        seen = []
+
+        def spy(*args, **kwargs):
+            centroids, assigned = cluster_with_spark_kmeans(*args, **kwargs)
+            seen.append(assigned)
+            return centroids, assigned
+
+        monkeypatch.setattr(spark_build, "cluster_with_spark_kmeans", spy)
+        ids = make_ids("permuted", corpus_small.n)
+        dist = build_lider_spark(spark, corpus_small.emb, ids, config=CFG)
+        (assigned,) = seen
+        rows = assigned.toPandas()
+        assert np.array_equal(np.sort(rows["id"].to_numpy()), np.arange(corpus_small.n))
+        pos = rows["id"].to_numpy()
+        assert np.array_equal(np.vstack(rows["emb"].to_numpy()), corpus_small.emb[pos])
+        assert np.array_equal(dist.assignments[pos], rows["cluster_id"].to_numpy())
+        driver = LIDER(CFG).fit(
+            corpus_small.emb, ids, assignments=dist.assignments, centroids=dist.centroids
+        )
+        assert_same_index(driver, dist)
 
     def test_spark_kmeans_build_searches_sensibly(self, spark, corpus_small, queries_small):
         idx = build_lider_spark(spark, corpus_small.emb, config=CFG)

@@ -6,6 +6,7 @@ import pytest
 from repro.bench.harness import LiderIndex, METHODS, build_method, evaluate
 from repro.bench.tables import format_rows, sweep_clustering, table2, table3, table4, table5
 from repro.embeddings.datasets import dev_queries, load_dataset
+from tests.test_lider import bad_corpus
 
 
 class TestHarness:
@@ -22,6 +23,16 @@ class TestHarness:
         idx, build_s = build_method(method, corpus.emb)
         quality, aqt = evaluate(idx, qs, k=50)
         assert 0.0 <= quality <= 1.0 and aqt > 0 and build_s > 0
+
+    @pytest.mark.parametrize(
+        "case, match",
+        [("nan_row", "non-finite"), ("non_unit_row", "unit-norm"), ("duplicate_ids", "not unique")],
+    )
+    def test_build_rejects_bad_corpus(self, case, match):
+        """Every method gets LIDER's corpus checks, a baseline included."""
+        emb, ids = bad_corpus(case, load_dataset("MSL-2k").emb)
+        with pytest.raises(ValueError, match=match):
+            build_method("Flat", emb, ids)
 
     def test_evaluate_ndcg_requires_qrels(self):
         corpus = load_dataset("MSL-2k")
