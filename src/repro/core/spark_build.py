@@ -18,10 +18,11 @@ the distributed_dataflow formulation the reproduction targets:
 
 Spark rows carry their corpus row position as ``id``: the driver collects
 the KMeans assignments by position, nothing is joined, and the external ids
-reach only ``LIDER.assemble``. Hashing, the row tie-break and the RMI folding are those of
-``CoreModel.fit``, so given identical cluster assignments the assembled
-index is bit-identical to the driver build for any ids (asserted in
-tests/test_spark_build.py).
+reach only ``LIDER.assemble``. Hashing, the row tie-break and the RMI
+folding are those of ``CoreModel.fit``, so given identical cluster
+assignments the assembled index is bit-identical to the driver build for
+any ids (asserted in tests/test_spark_build.py, on injected clusters and on
+the KMeans path).
 """
 from __future__ import annotations
 
