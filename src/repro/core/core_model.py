@@ -19,8 +19,8 @@ The search steps are module-level helpers — ``query_keys`` (hash at the
 shared tensor's full length, then shift), ``rmi_locations``,
 ``window_union`` and ``verify`` — that take any number of clusters.
 ``CoreModel`` search is their one-cluster case and ``LIDER.search`` runs
-them over all probed clusters at once, on a layout whose slices a core
-model's arrays view.
+them over all probed clusters at once, on its layout; ``LIDER.in_cluster``
+views a slice of it as a core model (``from_parts``, no stored keys).
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.lsh.esklsh import ESKLSH, key_storage_dtype
+from repro.lsh.esklsh import ESKLSH
 from repro.lsh.projections import hyperplanes
 from repro.rmi.rescale import KeyRescaler
 from repro.rmi.rmi import _BIG, SimplifiedRMI
@@ -190,22 +190,21 @@ class CoreModel:
         config: CoreModelConfig,
         emb: np.ndarray,
         ids: np.ndarray,
-        keys: np.ndarray,
         rows: np.ndarray,
         roots: np.ndarray,
         children: np.ndarray,
         *,
         planes: np.ndarray | None = None,
     ) -> "CoreModel":
-        """Assemble a core model from externally built (H, n) sorted keys and
-        rows and their (3, H) / (3, H, W) folded RMI parameters (e.g. views
-        of a LIDER layout); ``planes`` as in :meth:`fit`."""
+        """Assemble a core model from externally built (H, n) sorted rows and
+        their (3, H) / (3, H, W) folded RMI parameters (e.g. views of a LIDER
+        layout); ``planes`` as in :meth:`fit`. Its sorted keys are derived
+        from ``emb`` and ``rows`` when first read."""
         cm = cls(config)
         cm.emb = np.ascontiguousarray(emb, dtype=np.float32)
         cm.ids = np.asarray(ids, dtype=np.int64)
         cm.esklsh = cm._esklsh(cm.emb.shape[1], cm.emb.shape[0], planes)
-        cm.esklsh.keys = np.asarray(keys, dtype=key_storage_dtype(cm.esklsh.m))
-        cm.esklsh.rows = np.asarray(rows, dtype=np.int32)
+        cm.esklsh.x, cm.esklsh.rows = cm.emb, np.asarray(rows, dtype=np.int32)
         cm.roots, cm.children = roots, children
         return cm
 

@@ -7,8 +7,8 @@ Build (staged as Table 5 reports; the paper's Stage 2, a learned
     model per cluster (the *in-cluster retrievers*) is fitted on its slice
     in one plain loop (a thread pool over the clusters, §3.3.2's parallel
     build, measured no faster), and ``LIDER.assemble`` stacks their sorted
-    rows and folded RMI parameters into one layout that every retriever
-    views.
+    rows and folded RMI parameters into one layout. The sorted hashkeys the
+    RMIs are fitted on are not kept: the RMI replaces the search over them.
 
 Search: exact centroid scan → top-``c0`` clusters → one fused pass over
 the probed clusters on the stacked layout (§4.3: the IRs' arrays expand
@@ -24,7 +24,8 @@ DataSource likewise searches a query's probed clusters in one partition.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,6 +125,12 @@ class LIDERConfig:
     base_seed: int = 1234
     kmeans_iters: int = 20
 
+    def __post_init__(self):
+        for name in ("c", "c0", "target_cluster_size", "h", "w_incluster", "r0"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"LIDERConfig.{name} must be at least 1, got {value}")
+
     def resolve(self, n: int) -> tuple[int, int]:
         c = self.c if self.c is not None else max(4, min(n, n // self.target_cluster_size))
         c = max(1, min(c, n))
@@ -155,11 +162,35 @@ class BuildReport:
     stage3_bytes: int = 0
 
 
+@dataclass(eq=False)
+class ClusterViews(Mapping):
+    """``LIDER.in_cluster``: non-empty cluster j → a ``CoreModel`` over its
+    slice of the layout, made on each access. Making one derives no keys;
+    its ``esklsh.keys`` are derived when read, and kept on that view."""
+
+    lider: "LIDER"
+
+    def __getitem__(self, j) -> CoreModel:
+        if j not in list(self):
+            raise KeyError(j)
+        lider, part = self.lider, self.lider.part(j)
+        return CoreModel.from_parts(
+            lider.config.core_config(IN_CLUSTER_GROUP), lider.emb[part], lider.ids[part],
+            lider.block(j), lider.roots[j], lider.children[j], planes=lider.planes,
+        )
+
+    def __iter__(self):
+        return iter(np.flatnonzero(self.lider.sizes).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.lider.sizes))
+
+
 class LIDER:
     """The two-layer index over one embedding corpus.
 
-    It owns one cluster-contiguous layout, and every in-cluster retriever's
-    arrays are views of their slice of it (``np.shares_memory``):
+    Its state is one cluster-contiguous layout; each ``in_cluster[j]``
+    retriever views its slice of it (``np.shares_memory``):
 
     * ``emb``/``ids``: the corpus and its ids permuted once into cluster
       order; cluster j holds rows ``offsets[j] : offsets[j] + sizes[j]``;
@@ -170,15 +201,13 @@ class LIDER:
     * ``planes`` (H, M, d) and ``shifts`` (c,): the one hyperplane tensor,
       and how many bits of a key at its length M cluster j's keys drop.
 
-    Sorted keys stay per cluster: their width follows the cluster's key
-    length, and search never reads them.
+    No sorted keys are kept: search never reads them.
     """
 
     def __init__(self, config: LIDERConfig | None = None):
         self.config = config or LIDERConfig()
         self.centroids: np.ndarray | None = None  # (c, d)
         self.assignments: np.ndarray | None = None  # (n,)
-        self.in_cluster: dict[int, CoreModel] = {}
         self.planes: np.ndarray | None = None  # (H, M, d) shared by the IRs
         self.emb = self.ids = self.offsets = self.sizes = self.shifts = None
         self.rows = self.roots = self.children = None
@@ -188,6 +217,11 @@ class LIDER:
     def centroid_retriever(self) -> CentroidScan:
         """Picks the clusters a query probes."""
         return CentroidScan(self.centroids)
+
+    @property
+    def in_cluster(self) -> ClusterViews:
+        """The in-cluster retrievers, by non-empty cluster id (read-only)."""
+        return ClusterViews(self)
 
     # ------------------------------------------------------------------ build
     def fit(
@@ -216,8 +250,9 @@ class LIDER:
 
         in_cfg = cfg.core_config(IN_CLUSTER_GROUP)
 
-        def fit_cluster(j, emb_j, ids_j, planes):
-            return CoreModel(in_cfg).fit(emb_j, ids_j, planes=planes)
+        def fit_cluster(j, emb_j, planes):
+            cm = CoreModel(in_cfg).fit(emb_j, planes=planes)
+            return cm.esklsh.rows, cm.roots, cm.children
 
         t0 = time.perf_counter()
         self.assemble(emb, ids, centroids, assignments, fit_cluster)
@@ -228,11 +263,11 @@ class LIDER:
         """Fill the layout from Stage 1's output; both builds call this.
 
         The corpus is permuted into cluster order once (members in row
-        order); ``fit_cluster(j, emb_j, ids_j, planes)`` then returns
-        cluster j's core model over its slices, hashing with ``planes``.
-        Each model's sorted rows and folded parameters are copied into the
-        stacked arrays as it arrives, and the model is rebound to views of
-        them, so no per-cluster copy outlives the build.
+        order); ``fit_cluster(j, emb_j, planes)`` then returns cluster j's
+        (H, n_j) sorted rows and (3, H) / (3, H, W) folded RMI parameters,
+        fitted on its slice and hashed with ``planes``. They are copied into
+        the stacked arrays as they arrive, so no per-cluster copy outlives
+        the build.
         """
         self.centroids = np.ascontiguousarray(centroids, dtype=np.float32)
         self.assignments = np.asarray(assignments, dtype=np.int32)
@@ -251,20 +286,20 @@ class LIDER:
         self.roots = np.zeros((c, 3, h))
         self.children = np.zeros((c, 3, h, w))
 
-        self.in_cluster = {}
         for j in np.flatnonzero(self.sizes).tolist():
-            cm = fit_cluster(j, self.emb[self.part(j)], self.ids[self.part(j)], self.planes)
-            block = self.rows[h * self.offsets[j]:h * (self.offsets[j] + self.sizes[j])]
-            block = block.reshape(h, -1)
-            block[:], self.roots[j], self.children[j] = cm.esklsh.rows, cm.roots, cm.children
-            cm.esklsh.rows, cm.roots, cm.children = block, self.roots[j], self.children[j]
-            self.in_cluster[j] = cm
+            fitted = fit_cluster(j, self.emb[self.part(j)], self.planes)
+            self.block(j)[:], self.roots[j], self.children[j] = fitted
         self.report.stage3_bytes = self.memory_footprint()
 
     # ----------------------------------------------------------------- search
     def part(self, j: int) -> slice:
         """Cluster j's rows of ``emb`` and ``ids``."""
         return slice(self.offsets[j], self.offsets[j] + self.sizes[j])
+
+    def block(self, j: int) -> np.ndarray:
+        """Cluster j's (H, sizes[j]) sorted rows, a view of ``rows``."""
+        h = self.config.h
+        return self.rows[h * self.offsets[j]:h * (self.offsets[j] + self.sizes[j])].reshape(h, -1)
 
     def search(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Top-k (external ids, cosine scores) for one query embedding: the
@@ -313,15 +348,9 @@ class LIDER:
 
     # ------------------------------------------------------------------ stats
     def memory_footprint(self) -> int:
-        """Index-only bytes (embeddings excluded), as in Table 5.
-
-        Every in-cluster retriever's arrays are views of the layout and it
-        hashes with a view of ``self.planes``, so summing the retrievers
-        counts each layout byte once; the plane bytes are the one tensor's.
-        """
-        total = self.report.stage1_bytes + sum(
-            cm.nbytes - cm.esklsh.planes.nbytes for cm in self.in_cluster.values()
-        )
-        if self.planes is not None:
-            total += self.planes.nbytes
-        return total
+        """Index-only bytes (embeddings excluded), as in Table 5: Stage 1's
+        centroids and assignments, and the layout's ids, sorted rows, RMI
+        parameters and hyperplanes. It holds no sorted keys (EXPERIMENTS.md,
+        "Deviation: no stored keys")."""
+        layout = (self.ids, self.rows, self.roots, self.children, self.planes)
+        return self.report.stage1_bytes + sum(a.nbytes for a in layout)

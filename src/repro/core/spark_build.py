@@ -8,13 +8,12 @@ the distributed_dataflow formulation the reproduction targets:
      corpus DataFrame (arrays → ml vectors), or injected assignments;
   2. **in-cluster retrievers**: one ``groupBy("cluster_id").applyInPandas``
      in which each cluster, its rows in corpus order, runs the driver's own
-     ``CoreModel.fit`` and returns one row: its sorted keys, sorted rows and
-     folded RMI parameters, each raveled;
+     ``CoreModel.fit`` and returns one row: its sorted rows and folded RMI
+     parameters, each raveled (the sorted keys stay behind: the index keeps
+     none);
   3. **driver assembly**: ``LIDER.assemble``, the function ``LIDER.fit``
      fills its layout with, permutes the corpus into cluster order and
-     takes each cluster's model from ``CoreModel.from_parts`` over its
-     slices, the fitted arrays and the index's one in-cluster hyperplane
-     tensor.
+     copies each cluster's row, reshaped, into the layout.
 
 Spark rows carry their corpus row position as ``id``: the driver collects
 the KMeans assignments by position, nothing is joined, and the external ids
@@ -33,7 +32,7 @@ from pyspark.sql import DataFrame, SparkSession, functions as F
 from repro.core.core_model import CoreModel, CoreModelConfig
 from repro.core.lider import IN_CLUSTER_GROUP, LIDER, LIDERConfig, check_corpus
 
-FIT_SCHEMA = "cluster_id int, keys array<long>, rows array<int>, params array<double>"
+FIT_SCHEMA = "cluster_id int, rows array<int>, params array<double>"
 
 
 def cluster_with_spark_kmeans(
@@ -58,9 +57,9 @@ def cluster_with_spark_kmeans(
 
 def spark_fit_clusters(df: DataFrame, config: CoreModelConfig) -> DataFrame:
     """(id, cluster_id, emb), ``id`` the corpus row position → one row per
-    cluster of its fitted in-cluster retriever: the (H, n_j) sorted keys and
-    sorted rows (positions among the cluster's members in ``id`` order) and
-    the (3, H, 1 + W) ``fold_rmi`` parameters, each raveled."""
+    cluster of its fitted in-cluster retriever: the (H, n_j) sorted rows
+    (positions among the cluster's members in ``id`` order) and the
+    (3, H, 1 + W) ``fold_rmi`` parameters, each raveled."""
 
     def fit(pdf: pd.DataFrame) -> pd.DataFrame:
         pdf = pdf.sort_values("id")
@@ -68,7 +67,6 @@ def spark_fit_clusters(df: DataFrame, config: CoreModelConfig) -> DataFrame:
         params = np.concatenate([cm.roots[:, :, None], cm.children], axis=2)
         return pd.DataFrame({
             "cluster_id": [int(pdf["cluster_id"].iloc[0])],
-            "keys": [cm.esklsh.keys.astype(np.int64).ravel()],
             "rows": [cm.esklsh.rows.ravel()],
             "params": [params.ravel()],
         })
@@ -113,14 +111,10 @@ def build_lider_spark(
     in_cfg = config.core_config(IN_CLUSTER_GROUP)
     fitted = {int(r.cluster_id): r for r in spark_fit_clusters(df, in_cfg).toPandas().itertuples()}
 
-    def from_spark(j, emb_j, ids_j, planes):
+    def from_spark(j, emb_j, planes):
         row = fitted[j]
         params = np.reshape(row.params, (3, in_cfg.h, -1))
-        return CoreModel.from_parts(
-            in_cfg, emb_j, ids_j, np.reshape(row.keys, (in_cfg.h, -1)),
-            np.reshape(row.rows, (in_cfg.h, -1)), params[:, :, 0], params[:, :, 1:],
-            planes=planes,
-        )
+        return np.reshape(row.rows, (in_cfg.h, -1)), params[:, :, 0], params[:, :, 1:]
 
     lider = LIDER(config)
     lider.assemble(emb, ids, centroids, assignments, from_spark)

@@ -50,8 +50,8 @@ from repro.core.lider import LIDER, CentroidScan, LIDERConfig, check_query
 
 SCHEMA_DDL = "id long, cluster_id int, score double, rank int"
 FORMAT_VERSION = 1
-# Saved as index/<name>.npy: the centroids and what LIDER.search_clusters
-# reads (the sorted keys are not: search never reads them).
+# Saved as index/<name>.npy: the centroids and LIDER's layout, which is what
+# LIDER.search_clusters reads.
 ARRAYS = ("centroids", "planes", "ids", "offsets", "sizes", "shifts", "rows", "roots", "children")
 
 
@@ -222,6 +222,6 @@ def ann_search_df(spark, path: str, query: np.ndarray, k: int = 100, c0: int | N
         .option("query", json.dumps([float(x) for x in np.asarray(query)]))
         .option("k", k)
     )
-    if c0:
+    if c0 is not None:
         reader = reader.option("c0", c0)
     return reader.load().orderBy(F.desc("score")).limit(k)

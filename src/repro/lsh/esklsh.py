@@ -117,8 +117,9 @@ class ESKLSH:
     ``planes`` is an (H, M', d) tensor of :func:`~repro.lsh.projections.hyperplanes`;
     the model's hashkeys are its first ``m ≤ M'`` bits (all by default), so
     one index-wide tensor serves models of every key length. The H sorted
-    arrays are held as one (H, L) ``keys`` and one (H, L) ``rows`` array,
-    which may be views of a larger layout; ``arrays`` views them per array.
+    arrays are held as one (H, L) ``keys`` and one (H, L) ``rows`` array;
+    ``arrays`` views them per array. Given only ``rows`` (e.g. a view of a
+    LIDER layout) and the hashed vectors ``x``, keys are derived when read.
     """
 
     def __init__(self, planes: np.ndarray, m: int | None = None):
@@ -127,8 +128,9 @@ class ESKLSH:
             raise ValueError("H must be positive")
         self.hash_planes = planes
         self.m = planes.shape[1] if m is None else m
-        self.keys: np.ndarray | None = None  # (H, L) sorted hashkeys
-        self.rows: np.ndarray | None = None  # (H, L) int32 rows they index
+        self.x: np.ndarray | None = None  # (L, d) rows to derive keys from, if not fitted
+        self._keys: np.ndarray | None = None
+        self.rows: np.ndarray | None = None  # (H, L) int32 rows, each array in key order
 
     @property
     def planes(self) -> np.ndarray:
@@ -141,10 +143,23 @@ class ESKLSH:
         return np.uint64(self.hash_planes.shape[1] - self.m)
 
     @property
+    def keys(self) -> np.ndarray | None:
+        """(H, L) sorted hashkeys: kept by :meth:`fit`, or derived once from
+        ``x`` and ``rows`` by the same :meth:`hash` step (bit for bit)."""
+        if self._keys is None and self.x is not None:
+            keys = [self.hash(self.x, h)[rows] for h, rows in enumerate(self.rows)]
+            self._keys = np.stack(keys).astype(key_storage_dtype(self.m))
+        return self._keys
+
+    @property
     def arrays(self) -> list[SortedKeyArray]:
         if self.keys is None:
             return []
         return [SortedKeyArray(k, r, m_bits=self.m) for k, r in zip(self.keys, self.rows)]
+
+    def hash(self, x: np.ndarray, h: int) -> np.ndarray:
+        """(n,) hashkeys of the float32 rows ``x`` under array h's compound hash."""
+        return pack_bits((x @ self.planes[h].T) > 0)
 
     def fit(self, x: np.ndarray) -> "ESKLSH":
         """Hash the corpus with each compound function and sort each array.
@@ -153,12 +168,12 @@ class ESKLSH:
         deterministic and reproducible by the Spark path.
         """
         x = np.asarray(x, dtype=np.float32)
-        self.keys = np.empty((self.h, x.shape[0]), dtype=key_storage_dtype(self.m))
+        self._keys = np.empty((self.h, x.shape[0]), dtype=key_storage_dtype(self.m))
         self.rows = np.empty((self.h, x.shape[0]), dtype=np.int32)
-        for h, planes in enumerate(self.planes):
-            keys = pack_bits((x @ planes.T) > 0)
+        for h in range(self.h):
+            keys = self.hash(x, h)
             self.rows[h] = np.argsort(keys, kind="stable")
-            self.keys[h] = keys[self.rows[h]]
+            self._keys[h] = keys[self.rows[h]]
         return self
 
     def query_keys(self, q: np.ndarray) -> np.ndarray:

@@ -204,6 +204,7 @@ class TestReaderPlanning:
         def no_core_model(self, config):
             raise AssertionError("read built a CoreModel")
 
+        views = dict(lider.in_cluster)  # the in-memory references, made before the spy
         monkeypatch.setattr(LIDER, "search_clusters", spy)
         monkeypatch.setattr(CoreModel, "__init__", no_core_model)
         r, mixed_widths = lider.config.r0 * k, 0
@@ -213,7 +214,7 @@ class TestReaderPlanning:
             clusters = list(part.value[0])
             assert [int(j) for j in calls.pop()] == clusters
             for j in clusters:
-                ids, scores = lider.in_cluster[j].search(q, km=k)
+                ids, scores = views[j].search(q, km=k)
                 got = [row for row in rows if row[1] == j]
                 assert [row[3] for row in got] == list(range(ids.size))
                 assert np.array_equal([row[0] for row in got], ids)
@@ -279,6 +280,15 @@ class TestReadEnd2End:
             got = [r["id"] for r in ann_search_df(spark_registered, path, q, k=20).collect()]
             want = [int(x) for x in lider.search(q, 20)[0]]
             assert got == want
+
+    def test_c0_zero_raises(self, spark_registered, saved_index, queries_small):
+        """``c0=0`` reaches the reader, whose ValueError Spark reports at
+        planning, instead of being dropped for meta.json's default."""
+        from pyspark.errors import AnalysisException
+
+        path, _ = saved_index
+        with pytest.raises(AnalysisException, match="ValueError: option c0 must be at least 1"):
+            ann_search_df(spark_registered, path, queries_small.emb[0], k=5, c0=0).collect()
 
     def test_scores_descending(self, spark_registered, saved_index, queries_small):
         path, _ = saved_index

@@ -1,9 +1,10 @@
 """Tests for the two-layer LIDER index (§3.2/§3.3.2)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.core_model import top_k
-from repro.core.lider import LIDER, LIDERConfig
+from repro.core.core_model import CoreModel, top_k
+from repro.core.lider import IN_CLUSTER_GROUP, LIDER, LIDERConfig, check_corpus, check_query
 from repro.embeddings.corpus import make_corpus
 from repro.metrics import mrr_at_k, recall_at_k
 
@@ -33,6 +34,7 @@ def merged_cluster_searches(lider: LIDER, q: np.ndarray, k: int) -> tuple[np.nda
     _, c0 = lider.config.resolve(lider.assignments.shape[0])
     clusters, _ = lider.centroid_retriever.search(q, km=c0)
     parts = [lider.in_cluster[int(j)].search(q, k) for j in clusters if int(j) in lider.in_cluster]
+    parts = parts or [(np.empty(0, np.int64), np.empty(0, np.float32))]
     ids = np.concatenate([p[0] for p in parts])
     scores = np.concatenate([p[1] for p in parts])
     top = top_k(scores, k)
@@ -76,6 +78,14 @@ class TestConfigResolve:
     def test_small_n(self):
         c, c0 = LIDERConfig().resolve(50)
         assert 1 <= c0 <= c <= 50
+
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("name", ["c", "c0", "r0", "h", "w_incluster", "target_cluster_size"])
+    def test_below_one_raises(self, name, value):
+        """A count below 1 is rejected, not clamped (c) or turned into an
+        empty probe (c0=0), a negative top-k (c0<0) or width-1 windows (r0)."""
+        with pytest.raises(ValueError, match=f"LIDERConfig.{name} must be at least 1"):
+            LIDERConfig(**{name: value})
 
 
 class TestBuild:
@@ -244,14 +254,17 @@ class TestSearch:
 
 class TestMemory:
     def test_footprint_is_sum_of_parts(self, lider_small):
-        total = lider_small.memory_footprint()
-        irs = list(lider_small.in_cluster.values())
-        parts = (
-            lider_small.report.stage1_bytes
-            + sum(cm.nbytes - cm.esklsh.planes.nbytes for cm in irs)
-            + lider_small.planes.nbytes
+        """Stage 1's arrays plus the layout's: no sorted keys are held, and
+        reading a view's keys adds nothing to the index."""
+        layout = ("ids", "rows", "roots", "children", "planes")
+        parts = lider_small.report.stage1_bytes + sum(
+            getattr(lider_small, name).nbytes for name in layout
         )
-        assert total == parts
+        assert lider_small.memory_footprint() == parts
+        views = list(lider_small.in_cluster.values())
+        assert all(cm.esklsh._keys is None for cm in views)
+        assert all(cm.esklsh.keys is not None for cm in views)
+        assert lider_small.memory_footprint() == parts
 
     def test_in_cluster_planes_physically_shared(self, lider_small):
         # Every IR hashes with a view of the index's one plane tensor, drawn
@@ -267,6 +280,87 @@ class TestMemory:
         assert_layout_views(lider_small)
 
     def test_in_cluster_retrievers_dominate(self, lider_small):
-        """Table-5 observation: the IRs take the major fraction of the index."""
-        ir_bytes = sum(cm.nbytes for cm in lider_small.in_cluster.values())
+        """Table-5 observation: the IRs (Stage 3's layout) take the major
+        fraction of the index."""
+        ir_bytes = lider_small.memory_footprint() - lider_small.report.stage1_bytes
         assert ir_bytes > 0.5 * lider_small.memory_footprint()
+
+
+def unit_rows(seed: int, n: int, d: int) -> np.ndarray:
+    x = np.random.default_rng(seed).standard_normal((n, d))
+    return (x / np.linalg.norm(x, axis=1, keepdims=True)).astype(np.float32)
+
+
+class TestViewProperties:
+    @given(
+        n=st.integers(20, 400), c=st.integers(1, 8), c0=st.integers(1, 8),
+        k=st.integers(1, 420), seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_views_equal_fused_search_and_standalone_fit(self, n, c, c0, k, seed):
+        """On random corpora with permuted ids: LIDER.search is the merge of
+        the views' searches (k may exceed a cluster, or the corpus), and each
+        view's derived keys and its rows are a standalone core model's."""
+        corpus = make_corpus(n, dim=16, seed=seed)
+        ids = np.random.default_rng(seed).permutation(n).astype(np.int64) * 7 + 3
+        cfg = LIDERConfig(c=c, c0=c0)
+        lider = LIDER(cfg).fit(corpus.emb, ids)
+        for q in (*unit_rows(seed, 3, 16), corpus.emb[seed % n]):
+            got_ids, got_scores = lider.search(q, k)
+            want_ids, want_scores = merged_cluster_searches(lider, q, k)
+            assert np.array_equal(got_ids, want_ids)
+            assert np.array_equal(got_scores, want_scores)
+        for j, view in lider.in_cluster.items():
+            emb_j = corpus.emb[lider.assignments == j]
+            ref = CoreModel(cfg.core_config(IN_CLUSTER_GROUP)).fit(emb_j, planes=lider.planes)
+            assert np.array_equal(view.esklsh.keys, ref.esklsh.keys)
+            assert view.esklsh.keys.dtype == ref.esklsh.keys.dtype
+            assert np.array_equal(view.esklsh.rows, ref.esklsh.rows)
+
+
+OFF_NORM = st.one_of(st.floats(0.0, 0.99), st.floats(1.01, 100.0))
+
+
+class TestInputCheckProperties:
+    @given(data=st.data(), n=st.integers(2, 30), d=st.integers(2, 12), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_check_corpus(self, data, n, d, seed):
+        """One generated defect is rejected; the input without it passes."""
+        emb = unit_rows(seed, n, d)
+        ids = np.random.default_rng(seed).permutation(n).astype(np.int64)
+        bad_emb, bad_ids = emb.copy(), ids.copy()
+        row, col = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1))
+        defect = data.draw(st.sampled_from(["nan", "inf", "off_norm", "ids_shape", "duplicate"]))
+        if defect == "nan":
+            bad_emb[row, col] = np.nan
+        elif defect == "inf":
+            bad_emb[row, col] = data.draw(st.sampled_from([np.inf, -np.inf]))
+        elif defect == "off_norm":
+            bad_emb[row] *= data.draw(OFF_NORM)
+        elif defect == "ids_shape":
+            bad_ids = data.draw(st.sampled_from([ids[:-1], np.append(ids, n), ids[None]]))
+        else:
+            bad_ids[row] = ids[data.draw(st.integers(0, n - 1).filter(lambda i: i != row))]
+        with pytest.raises(ValueError):
+            check_corpus(bad_emb, bad_ids)
+        got_emb, got_ids = check_corpus(emb, ids)
+        assert np.array_equal(got_emb, emb) and np.array_equal(got_ids, ids)
+
+    @given(data=st.data(), d=st.integers(2, 12), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_check_query(self, data, d, seed):
+        q = unit_rows(seed, 1, d)[0]
+        bad = q.copy()
+        col = data.draw(st.integers(0, d - 1))
+        defect = data.draw(st.sampled_from(["nan", "inf", "off_norm", "shape"]))
+        if defect == "nan":
+            bad[col] = np.nan
+        elif defect == "inf":
+            bad[col] = data.draw(st.sampled_from([np.inf, -np.inf]))
+        elif defect == "off_norm":
+            bad *= data.draw(OFF_NORM)
+        else:
+            bad = data.draw(st.sampled_from([q[:-1], np.append(q, 0.0), q[None], np.stack([q, q])]))
+        with pytest.raises(ValueError):
+            check_query(bad, d)
+        assert np.array_equal(check_query(q, d), q)
