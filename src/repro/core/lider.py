@@ -113,7 +113,7 @@ class LIDERConfig:
     """
 
     c: int | None = None  # clusters; None → n // target_cluster_size
-    c0: int | None = None  # retrieved centroids; None → max(2, c // 50)
+    c0: int | None = None  # retrieved centroids; None → max(8, c // 50)
     target_cluster_size: int = 500
     h: int = 10
     w_centroids: int = 10
