@@ -34,13 +34,3 @@ class ANNIndex(abc.ABC):
         if self.ids.shape[0] != n:
             raise ValueError("ids must align with embeddings")
         return self.ids
-
-    @staticmethod
-    def _top_ids(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-        """ids of the k largest scores, descending."""
-        kk = min(k, scores.shape[0])
-        if kk == 0:
-            return np.empty(0, dtype=np.int64)
-        top = np.argpartition(-scores, kk - 1)[:kk]
-        top = top[np.argsort(-scores[top])]
-        return ids[top]

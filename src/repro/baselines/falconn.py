@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import ANNIndex
+from repro.core.core_model import top_k
 from repro.lsh.hashkeys import pack_bits
 from repro.lsh.projections import hyperplanes
 
@@ -78,7 +79,7 @@ class MultiProbeLSHIndex(ANNIndex):
             return np.empty(0, dtype=np.int64)
         cand = np.unique(np.concatenate(rows))
         scores = self.emb[cand] @ q
-        return self._top_ids(scores, self.ids[cand], k)
+        return self.ids[cand[top_k(scores, k)]]
 
     @property
     def nbytes(self) -> int:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import ANNIndex
+from repro.core.core_model import top_k
 
 
 class FlatIndex(ANNIndex):
@@ -18,7 +19,7 @@ class FlatIndex(ANNIndex):
 
     def search(self, q: np.ndarray, k: int) -> np.ndarray:
         scores = self.emb @ np.asarray(q, dtype=np.float32)
-        return self._top_ids(scores, self.ids, k)
+        return self.ids[top_k(scores, k)]
 
     @property
     def nbytes(self) -> int:

@@ -18,6 +18,7 @@ import numpy as np
 from repro.baselines.base import ANNIndex
 from repro.baselines.hnsw import HNSW
 from repro.baselines.pq import _PQCodec
+from repro.core.core_model import top_k
 from repro.core.kmeans import spherical_kmeans
 
 
@@ -62,10 +63,7 @@ class IVFPQIndex(ANNIndex):
         """Hook for the HNSW variant."""
 
     def _probe_lists(self, q: np.ndarray, p: int) -> np.ndarray:
-        scores = self.centroids @ q
-        p = min(p, scores.shape[0])
-        top = np.argpartition(-scores, p - 1)[:p]
-        return top[np.argsort(-scores[top])]
+        return top_k(self.centroids @ q, p)
 
     def search(self, q: np.ndarray, k: int) -> np.ndarray:
         q = np.asarray(q, dtype=np.float32)
@@ -84,7 +82,7 @@ class IVFPQIndex(ANNIndex):
             return np.empty(0, dtype=np.int64)
         rows = np.concatenate(chunks_rows)
         scores = np.concatenate(chunks_scores)
-        return self._top_ids(scores, self.ids[rows], k)
+        return self.ids[rows[top_k(scores, k)]]
 
     @property
     def nbytes(self) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import ANNIndex
+from repro.core.core_model import top_k
 
 
 def segment_kmeans(
@@ -124,7 +125,7 @@ class PQIndex(ANNIndex):
     def search(self, q: np.ndarray, k: int) -> np.ndarray:
         tq = self._transform(np.asarray(q, dtype=np.float32)[None, :])[0]
         scores = self.codec.adc_scores(self.codes, self.codec.ip_tables(tq))
-        return self._top_ids(scores, self.ids, k)
+        return self.ids[top_k(scores, k)]
 
     @property
     def nbytes(self) -> int:

@@ -23,6 +23,7 @@ import heapq
 import numpy as np
 
 from repro.baselines.base import ANNIndex
+from repro.core.core_model import top_k
 from repro.lsh.esklsh import ESKLSH
 from repro.lsh.hashkeys import dist_original
 from repro.lsh.projections import hyperplanes
@@ -97,7 +98,7 @@ class SKLSHIndex(ANNIndex):
         if cand.size == 0:
             return np.empty(0, dtype=np.int64)
         scores = self.emb[cand] @ q
-        return self._top_ids(scores, self.ids[cand], k)
+        return self.ids[cand[top_k(scores, k)]]
 
     @property
     def nbytes(self) -> int:

@@ -1,7 +1,8 @@
 """Drivers that regenerate each evaluation table of the paper (§7.2–7.6).
 
 Every ``tableN`` function returns plain list-of-dict rows (printable with
-``format_rows``) so jobs, tests and benchmarks share one code path.
+``format_rows``) so jobs and tests share one code path. Every query
+timing goes through :func:`repro.metrics.measure_aqt`.
 Paper-scale defaults are in ``jobs/``; tests call these with tiny inputs.
 """
 from __future__ import annotations
@@ -11,12 +12,11 @@ import time
 import numpy as np
 
 from repro.baselines.sklsh import SKLSHIndex
-from repro.bench.harness import METHODS, EvalRow, build_method, evaluate, run_method_on_task
+from repro.bench.harness import METHODS, LiderIndex, build_method, evaluate
 from repro.core.core_model import CoreModel, CoreModelConfig
 from repro.core.lider import CENTROID_GROUP, LIDER, LIDERConfig
-from repro.embeddings.corpus import EmbeddingCorpus, QuerySet
 from repro.embeddings.datasets import dev_queries, load_dataset, nq_queries, trec_queries
-from repro.metrics import mrr_at_k
+from repro.metrics import measure_aqt, mrr_at_k
 
 DEFAULT_MS_DATASETS = ["MSL-10k", "MSL-30k", "MSL-100k", "MSL-200k"]
 DEFAULT_WIKI_DATASET = "WIKI-300k"
@@ -67,15 +67,16 @@ def table2(
         trec = trec_queries(corpus, n_trec)
         for method in methods:
             idx, build_s = build_method(method, corpus.emb)
-            mrr, aqt_dev = evaluate(idx, dev, k=k, metric="mrr")
-            ndcg, aqt_trec = evaluate(idx, trec, k=k, metric="ndcg")
+            mrr, aqt, p50 = evaluate(idx, dev, k=k, metric="mrr")
+            ndcg, _, _ = evaluate(idx, trec, k=k, metric="ndcg")
             rows.append(
                 {
                     "dataset": ds,
                     "method": method,
                     "dev_mrr@10": round(mrr, 4),
                     "trec_ndcg@10": round(ndcg, 4),
-                    "aqt_ms": round(aqt_dev * 1e3, 3),
+                    "aqt_ms": round(aqt * 1e3, 3),
+                    "p50_ms": round(p50 * 1e3, 3),
                     "build_s": round(build_s, 2),
                 }
             )
@@ -84,13 +85,14 @@ def table2(
         nq = nq_queries(corpus, n_nq)
         for method in methods:
             idx, build_s = build_method(method, corpus.emb)
-            mrr, aqt = evaluate(idx, nq, k=k, metric="mrr")
+            mrr, aqt, p50 = evaluate(idx, nq, k=k, metric="mrr")
             rows.append(
                 {
                     "dataset": wiki_dataset,
                     "method": method,
                     "nq_mrr@10": round(mrr, 4),
                     "aqt_ms": round(aqt * 1e3, 3),
+                    "p50_ms": round(p50 * 1e3, 3),
                     "build_s": round(build_s, 2),
                 }
             )
@@ -114,10 +116,7 @@ def table3(
         cm = CoreModel(CoreModelConfig(h=h)).fit(corpus.emb)
         ranked = [list(map(int, cm.search(q, k)[0])) for q in dev.emb]
         # Expansion = steps 1–4 (hash, RMI prediction, windows, union).
-        t0 = time.perf_counter()
-        for q in dev.emb:
-            cm.candidate_rows(q, k)
-        expansion_s = (time.perf_counter() - t0) / len(dev.emb)
+        _, expansion_s, _ = measure_aqt(lambda q: cm.candidate_rows(q, k), dev.emb)
         rows.append(
             {
                 "H": h,
@@ -221,21 +220,12 @@ def sweep_clustering(
     sweep itself is reproduced and unit-tested for the documented trends)."""
     corpus = load_dataset(dataset)
     dev = dev_queries(corpus, n_queries)
+    settings = [("c0", fixed_c, c0) for c0 in c0_values or ()]
+    settings += [("c", c, fixed_c0) for c in c_values or ()]
     rows = []
-    for c0 in c0_values or ():
-        idx = LIDER(LIDERConfig(c=fixed_c, c0=c0)).fit(corpus.emb)
-        t0 = time.perf_counter()
-        ranked = [list(map(int, idx.search(q, k)[0])) for q in dev.emb]
-        aqt = (time.perf_counter() - t0) / len(dev.emb)
-        rows.append({"vary": "c0", "c": fixed_c, "c0": c0,
-                     "mrr@10": round(mrr_at_k(ranked, dev.relevant, 10), 4),
-                     "aqt_ms": round(aqt * 1e3, 3)})
-    for c in c_values or ():
-        idx = LIDER(LIDERConfig(c=c, c0=fixed_c0)).fit(corpus.emb)
-        t0 = time.perf_counter()
-        ranked = [list(map(int, idx.search(q, k)[0])) for q in dev.emb]
-        aqt = (time.perf_counter() - t0) / len(dev.emb)
-        rows.append({"vary": "c", "c": c, "c0": fixed_c0,
-                     "mrr@10": round(mrr_at_k(ranked, dev.relevant, 10), 4),
-                     "aqt_ms": round(aqt * 1e3, 3)})
+    for vary, c, c0 in settings:
+        idx = LiderIndex(LIDERConfig(c=c, c0=c0)).fit(corpus.emb)
+        mrr, aqt, p50 = evaluate(idx, dev, k=k)
+        rows.append({"vary": vary, "c": c, "c0": c0, "mrr@10": round(mrr, 4),
+                     "aqt_ms": round(aqt * 1e3, 3), "p50_ms": round(p50 * 1e3, 3)})
     return rows

@@ -60,8 +60,9 @@ def check_query(q: np.ndarray, dim: int) -> np.ndarray:
 
 def check_corpus(emb: np.ndarray, ids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``emb`` as contiguous float32 rows and ``ids`` as int64 (row positions
-    when None); ValueError for non-finite rows, rows off unit norm, ids that
-    do not align with the rows, or duplicate ids.
+    when None); ValueError for a corpus that is not a non-empty (n, d)
+    array, non-finite rows, rows off unit norm, ids that do not align with
+    the rows, or duplicate ids.
 
     Unit norm: LIDER scores by inner product and calls it cosine, which
     holds only for unit vectors, so every corpus row and every query
@@ -70,6 +71,8 @@ def check_corpus(emb: np.ndarray, ids: np.ndarray | None = None) -> tuple[np.nda
     silent fix would hide it.
     """
     emb = np.ascontiguousarray(emb, dtype=np.float32)
+    if emb.ndim != 2 or 0 in emb.shape:
+        raise ValueError(f"corpus has shape {emb.shape}, expected a non-empty (n, d) array")
     n = emb.shape[0]
     ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, np.int64)
     if ids.shape != (n,):

@@ -77,15 +77,21 @@ def recall_at_k(ranked_ids: Sequence[Sequence[int]], truth_ids: Sequence[Sequenc
     return float(np.mean(vals)) if vals else 0.0
 
 
-def measure_aqt(search_one: Callable[[np.ndarray], Sequence[int]], queries: np.ndarray) -> tuple[list, float]:
-    """Run ``search_one`` per query; return (ranked lists, mean seconds/query).
+def measure_aqt(
+    search_one: Callable[[np.ndarray], Sequence[int]], queries: np.ndarray
+) -> tuple[list, float, float]:
+    """Run ``search_one`` per query, timing each call; return (ranked lists,
+    mean seconds/query, median seconds/query).
 
-    This mirrors the paper's AQT: pure ANN search time, measured per query
-    after the embeddings already exist (no model inference included).
+    The mean mirrors the paper's AQT: pure ANN search time, measured per
+    query after the embeddings already exist (no model inference included).
+    The median is less moved by a single preempted query.
     """
-    results = []
-    t0 = time.perf_counter()
+    results, seconds = [], []
     for q in queries:
+        t0 = time.perf_counter()
         results.append(search_one(q))
-    elapsed = time.perf_counter() - t0
-    return results, elapsed / max(1, len(queries))
+        seconds.append(time.perf_counter() - t0)
+    if not seconds:
+        return results, 0.0, 0.0
+    return results, float(np.mean(seconds)), float(np.median(seconds))

@@ -25,7 +25,19 @@ def bad_corpus(case: str, emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ids = np.arange(emb.shape[0] + 1, dtype=np.int64)
     elif case == "non_unit_row":
         emb[7] *= 1.01
+    elif case == "one_d":
+        emb = emb[0]
+    elif case == "three_d":
+        emb = emb[None]
+    elif case == "no_rows":
+        emb, ids = emb[:0], ids[:0]
+    elif case == "no_cols":
+        emb = emb[:, :0]
     return emb, ids
+
+
+# check_corpus's message for a corpus that is not a non-empty (n, d) array.
+BAD_SHAPE = r"expected a non-empty \(n, d\) array"
 
 
 def merged_cluster_searches(lider: LIDER, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -126,6 +138,10 @@ class TestBuild:
             ("ids_one_short", "align"),
             ("ids_one_long", "align"),
             ("non_unit_row", "unit-norm"),
+            ("one_d", BAD_SHAPE),
+            ("three_d", BAD_SHAPE),
+            ("no_rows", BAD_SHAPE),
+            ("no_cols", BAD_SHAPE),
         ],
     )
     def test_bad_corpus_raises(self, corpus_small, case, match):

@@ -1,4 +1,6 @@
 """Unit tests for repro.metrics (MRR@k, NDCG@k, recall@k, AQT harness)."""
+import time
+
 import numpy as np
 import pytest
 
@@ -104,12 +106,18 @@ class TestRecall:
 class TestAQT:
     def test_results_and_positive_time(self):
         queries = np.zeros((5, 4), dtype=np.float32)
-        ranked, aqt = measure_aqt(lambda q: [1, 2], queries)
+        ranked, aqt, p50 = measure_aqt(lambda q: [1, 2], queries)
         assert len(ranked) == 5 and all(r == [1, 2] for r in ranked)
-        assert aqt >= 0.0
+        assert aqt >= 0.0 and p50 >= 0.0
 
     def test_per_query_average(self):
         calls = []
         queries = np.zeros((4, 2))
         measure_aqt(lambda q: calls.append(1) or [], queries)
         assert len(calls) == 4
+
+    def test_median_beside_mean(self):
+        """One slow query lifts the mean but not the per-query median."""
+        queries = np.arange(5, dtype=np.float32)[:, None]
+        _, aqt, p50 = measure_aqt(lambda q: time.sleep(0.03 * (q[0] == 2)) or [], queries)
+        assert aqt >= 0.03 / 5 and p50 < aqt

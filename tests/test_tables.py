@@ -6,7 +6,7 @@ import pytest
 from repro.bench.harness import LiderIndex, METHODS, build_method, evaluate
 from repro.bench.tables import format_rows, sweep_clustering, table2, table3, table4, table5
 from repro.embeddings.datasets import dev_queries, load_dataset
-from tests.test_lider import bad_corpus
+from tests.test_lider import BAD_SHAPE, bad_corpus
 
 
 class TestHarness:
@@ -21,12 +21,13 @@ class TestHarness:
         corpus = load_dataset("MSL-2k")
         qs = dev_queries(corpus, 20)
         idx, build_s = build_method(method, corpus.emb)
-        quality, aqt = evaluate(idx, qs, k=50)
-        assert 0.0 <= quality <= 1.0 and aqt > 0 and build_s > 0
+        quality, aqt, p50 = evaluate(idx, qs, k=50)
+        assert 0.0 <= quality <= 1.0 and aqt > 0 and p50 > 0 and build_s > 0
 
     @pytest.mark.parametrize(
         "case, match",
-        [("nan_row", "non-finite"), ("non_unit_row", "unit-norm"), ("duplicate_ids", "not unique")],
+        [("nan_row", "non-finite"), ("non_unit_row", "unit-norm"), ("duplicate_ids", "not unique"),
+         ("one_d", BAD_SHAPE)],
     )
     def test_build_rejects_bad_corpus(self, case, match):
         """Every method gets LIDER's corpus checks, a baseline included."""
@@ -67,7 +68,7 @@ class TestTable2:
         assert len(rows) == 3
 
     def test_columns(self, rows):
-        assert {"dataset", "method", "dev_mrr@10", "trec_ndcg@10", "aqt_ms"} <= set(rows[0])
+        assert {"dataset", "method", "dev_mrr@10", "trec_ndcg@10", "aqt_ms", "p50_ms"} <= set(rows[0])
 
     def test_flat_is_quality_upper_bound(self, rows):
         flat = next(r for r in rows if r["method"] == "Flat")
@@ -131,6 +132,15 @@ class TestTable5:
         s3 = next(r for r in rows if "Stage 3" in r["system"])
         assert s3["memory_mb"] > 2 * s2["memory_mb"]
 
+    def test_lider_memory_below_sklsh(self):
+        """Table 5's memory claim at the paper's SK-LSH H=24: LIDER's whole
+        footprint (the Stage-3 row) is under 0.75x SK-LSH's. At H=8 SK-LSH is
+        the smaller, so this needs its own rows."""
+        rows = table5(datasets=["MSL-2k"], sklsh_h={"MSL-2k": 24})
+        s3 = next(r for r in rows if "Stage 3" in r["system"])
+        sklsh = next(r for r in rows if r["system"] == "SK-LSH (H=24)")
+        assert s3["memory_mb"] < 0.75 * sklsh["memory_mb"]
+
 
 class TestSweep:
     def test_c0_sweep_rows(self):
@@ -138,8 +148,9 @@ class TestSweep:
             dataset="MSL-2k", c0_values=(1, 4), fixed_c=6, n_queries=20, k=50
         )
         assert len(rows) == 2
-        # more probed clusters → slower but not worse quality
-        assert rows[1]["aqt_ms"] >= rows[0]["aqt_ms"] * 0.8
+        # more probed clusters → slower but not worse quality; the median
+        # per-query time, as one preempted query can move a 20-query mean
+        assert rows[1]["p50_ms"] >= rows[0]["p50_ms"] * 0.8
         assert rows[1]["mrr@10"] >= rows[0]["mrr@10"] - 0.02
 
     def test_c_sweep_rows(self):
