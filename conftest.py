@@ -1,6 +1,11 @@
 import os
 import sys
 
+# Timing tests run NumPy on one OpenBLAS thread, as perfbench does: the
+# default pool's per-query time follows the box's load more than the code.
+# Set before the pyspark.sql import below, which is what first loads NumPy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 
 def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.

@@ -3,12 +3,14 @@
 Build (staged as Table 5 reports; the paper's Stage 2, a learned
 *centroids retriever*, is not built — see :class:`CentroidScan`):
   * Stage 1 — spherical k-means clusters the corpus into ``c`` groups;
-  * Stage 3 — the corpus is permuted once into cluster order, one core
-    model per cluster (the *in-cluster retrievers*) is fitted on its slice
-    in one plain loop (a thread pool over the clusters, §3.3.2's parallel
-    build, measured no faster), and ``LIDER.assemble`` stacks their sorted
-    rows and folded RMI parameters into one layout. The sorted hashkeys the
-    RMIs are fitted on are not kept: the RMI replaces the search over them.
+  * Stage 3 — ``LIDER.fit`` permutes the corpus once into cluster order,
+    fits one core model per cluster (the *in-cluster retrievers*) on its
+    slice in one plain loop, and stacks their sorted rows and folded RMI
+    parameters into one layout. §3.3.2's parallel build was measured no
+    faster, both as a thread pool over the clusters and as one Spark task
+    per cluster, so the Spark build (``spark_build``) also ends in this
+    loop. The sorted hashkeys the RMIs are fitted on are not kept: the RMI
+    replaces the search over them.
 
 Search: exact centroid scan → top-``c0`` clusters → one fused pass over
 the probed clusters on the stacked layout (§4.3: the IRs' arrays expand
@@ -86,6 +88,34 @@ def check_corpus(emb: np.ndarray, ids: np.ndarray | None = None) -> tuple[np.nda
     if np.unique(ids).size != n:
         raise ValueError("corpus ids are not unique")
     return emb, ids
+
+
+def check_clusters(
+    assignments: np.ndarray | None, centroids: np.ndarray | None, shape: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Injected Stage-1 output for an (n, d) corpus as (float32 centroids,
+    int32 assignments); ValueError unless both are given, ``centroids`` is
+    a finite (c, d) array and ``assignments`` an (n,) integer array with
+    values in [0, c)."""
+    if assignments is None or centroids is None:
+        raise ValueError("assignments and centroids are injected together: pass both or neither")
+    n, d = shape
+    centroids = np.asarray(centroids)
+    if centroids.ndim != 2 or centroids.shape[0] == 0 or centroids.shape[1] != d:
+        raise ValueError(f"centroids have shape {centroids.shape}, expected (c, {d})")
+    if not np.isfinite(centroids).all():
+        raise ValueError("centroids have non-finite values")
+    c = centroids.shape[0]
+    assignments = np.asarray(assignments)
+    if assignments.shape != (n,) or not np.issubdtype(assignments.dtype, np.integer):
+        raise ValueError(
+            f"assignments have shape {assignments.shape} and dtype {assignments.dtype}, "
+            f"expected ({n},) integers"
+        )
+    lo, hi = int(assignments.min()), int(assignments.max())
+    if lo < 0 or hi >= c:
+        raise ValueError(f"assignments span [{lo}, {hi}], expected values in [0, {c})")
+    return np.ascontiguousarray(centroids, dtype=np.float32), np.asarray(assignments, np.int32)
 
 
 @dataclass
@@ -235,52 +265,38 @@ class LIDER:
         assignments: np.ndarray | None = None,
         centroids: np.ndarray | None = None,
     ) -> "LIDER":
-        """Build Stages 1 and 3 over a corpus ``check_corpus`` accepts.
+        """Build Stages 1 and 3 over a corpus ``check_corpus`` accepts; both
+        builds end here.
 
-        ``assignments``/``centroids`` may be injected (the Spark build path
-        clusters with pyspark.ml) — Stage 1 is then skipped but still timed.
+        ``assignments``/``centroids`` may be injected together (the Spark
+        build clusters with pyspark.ml; :func:`check_clusters` checks them)
+        — Stage 1 is then skipped but still timed. Stage 3 permutes the
+        corpus into cluster order once (members in row order), fits each
+        non-empty cluster's core model on its slice with the one plane
+        tensor, and copies its sorted rows and folded RMI parameters into
+        the stacked arrays, so no per-cluster copy outlives the build.
         """
         emb, ids = check_corpus(emb, ids)
         cfg = self.config
-        c, _ = cfg.resolve(emb.shape[0])
 
         t0 = time.perf_counter()
-        if assignments is None or centroids is None:
+        if assignments is None and centroids is None:
+            c, _ = cfg.resolve(emb.shape[0])
             centroids, assignments = spherical_kmeans(
                 emb, c, n_iter=cfg.kmeans_iters, seed=cfg.base_seed
             )
+        centroids, assignments = check_clusters(assignments, centroids, emb.shape)
         self.report.stage1_seconds = time.perf_counter() - t0
 
-        in_cfg = cfg.core_config(IN_CLUSTER_GROUP)
-
-        def fit_cluster(j, emb_j, planes):
-            cm = CoreModel(in_cfg).fit(emb_j, planes=planes)
-            return cm.esklsh.rows, cm.roots, cm.children
-
         t0 = time.perf_counter()
-        self.assemble(emb, ids, centroids, assignments, fit_cluster)
-        self.report.stage3_seconds = time.perf_counter() - t0
-        return self
-
-    def assemble(self, emb, ids, centroids, assignments, fit_cluster) -> None:
-        """Fill the layout from Stage 1's output; both builds call this.
-
-        The corpus is permuted into cluster order once (members in row
-        order); ``fit_cluster(j, emb_j, planes)`` then returns cluster j's
-        (H, n_j) sorted rows and (3, H) / (3, H, W) folded RMI parameters,
-        fitted on its slice and hashed with ``planes``. They are copied into
-        the stacked arrays as they arrive, so no per-cluster copy outlives
-        the build.
-        """
-        self.centroids = np.ascontiguousarray(centroids, dtype=np.float32)
-        self.assignments = np.asarray(assignments, dtype=np.int32)
-        self.report.stage1_bytes = self.centroids.nbytes + self.assignments.nbytes
-        c = self.centroids.shape[0]
-        order = np.argsort(self.assignments, kind="stable")
+        self.centroids, self.assignments = centroids, assignments
+        self.report.stage1_bytes = centroids.nbytes + assignments.nbytes
+        c = centroids.shape[0]
+        order = np.argsort(assignments, kind="stable")
         self.emb, self.ids = np.take(emb, order, axis=0), ids[order]
-        self.sizes = np.bincount(self.assignments, minlength=c).astype(np.int64)
+        self.sizes = np.bincount(assignments, minlength=c).astype(np.int64)
         self.offsets = np.cumsum(self.sizes) - self.sizes
-        in_cfg = self.config.core_config(IN_CLUSTER_GROUP)
+        in_cfg = cfg.core_config(IN_CLUSTER_GROUP)
         h, w = in_cfg.h, in_cfg.width
         self.planes = in_cfg.hyperplanes(emb.shape[1], int(self.sizes.max()))
         bits = np.array([in_cfg.hashkey_bits(int(s)) for s in self.sizes])
@@ -288,11 +304,12 @@ class LIDER:
         self.rows = np.empty(h * emb.shape[0], dtype=np.int32)
         self.roots = np.zeros((c, 3, h))
         self.children = np.zeros((c, 3, h, w))
-
         for j in np.flatnonzero(self.sizes).tolist():
-            fitted = fit_cluster(j, self.emb[self.part(j)], self.planes)
-            self.block(j)[:], self.roots[j], self.children[j] = fitted
+            cm = CoreModel(in_cfg).fit(self.emb[self.part(j)], planes=self.planes)
+            self.block(j)[:], self.roots[j], self.children[j] = cm.esklsh.rows, cm.roots, cm.children
         self.report.stage3_bytes = self.memory_footprint()
+        self.report.stage3_seconds = time.perf_counter() - t0
+        return self
 
     # ----------------------------------------------------------------- search
     def part(self, j: int) -> slice:

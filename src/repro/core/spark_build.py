@@ -1,38 +1,33 @@
-"""Distributed LIDER index build as a Spark dataflow.
+"""LIDER index build with Spark's k-means.
 
 The driver-side NumPy build (``LIDER.fit``) is the in-memory index the
-latency tables measure; this module builds the *same* index with Spark —
-the distributed_dataflow formulation the reproduction targets:
+latency tables measure; this module runs its Stage 1 on Spark:
 
   1. **Stage 1 — clustering**: ``pyspark.ml.clustering.KMeans`` over the
-     corpus DataFrame (arrays → ml vectors), or injected assignments;
-  2. **in-cluster retrievers**: one ``groupBy("cluster_id").applyInPandas``
-     in which each cluster, its rows in corpus order, runs the driver's own
-     ``CoreModel.fit`` and returns one row: its sorted rows and folded RMI
-     parameters, each raveled (the sorted keys stay behind: the index keeps
-     none);
-  3. **driver assembly**: ``LIDER.assemble``, the function ``LIDER.fit``
-     fills its layout with, permutes the corpus into cluster order and
-     copies each cluster's row, reshaped, into the layout.
+     corpus DataFrame (arrays → ml vectors), and one collect of each row's
+     cluster; skipped, with no Spark job at all, when the clusters are
+     injected;
+  2. **in-cluster retrievers**: ``LIDER.fit`` on the driver with those
+     clusters, the same call the driver build makes.
 
-Spark rows carry their corpus row position as ``id``: the driver collects
-the KMeans assignments by position, nothing is joined, and the external ids
-reach only ``LIDER.assemble``. Hashing, the row tie-break and the RMI
-folding are those of ``CoreModel.fit``, so given identical cluster
-assignments the assembled index is bit-identical to the driver build for
-any ids (asserted in tests/test_spark_build.py, on injected clusters and on
-the KMeans path).
+Stage 3 runs on the driver (EXPERIMENTS.md, "Deviation: Stage 3 runs on
+the driver"): the build takes a driver-resident corpus, which the layout
+permutes on the driver anyway, and fitting the clusters there was faster
+than a per-cluster Spark task. Spark rows carry their corpus row position
+as ``id``: the driver collects the KMeans assignments by position, nothing
+is joined, and the external ids reach only ``LIDER.fit``. So given the
+same cluster assignments the index is the driver build's, for any ids
+(asserted in tests/test_spark_build.py, on injected clusters and on the
+KMeans path).
 """
 from __future__ import annotations
 
+import time
+
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
-from repro.core.core_model import CoreModel, CoreModelConfig
-from repro.core.lider import IN_CLUSTER_GROUP, LIDER, LIDERConfig, check_corpus
-
-FIT_SCHEMA = "cluster_id int, rows array<int>, params array<double>"
+from repro.core.lider import LIDER, LIDERConfig, check_corpus
 
 
 def cluster_with_spark_kmeans(
@@ -55,25 +50,6 @@ def cluster_with_spark_kmeans(
     return centers / norms, assigned
 
 
-def spark_fit_clusters(df: DataFrame, config: CoreModelConfig) -> DataFrame:
-    """(id, cluster_id, emb), ``id`` the corpus row position → one row per
-    cluster of its fitted in-cluster retriever: the (H, n_j) sorted rows
-    (positions among the cluster's members in ``id`` order) and the
-    (3, H, 1 + W) ``fold_rmi`` parameters, each raveled."""
-
-    def fit(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.sort_values("id")
-        cm = CoreModel(config).fit(np.vstack(pdf["emb"].to_numpy()).astype(np.float32))
-        params = np.concatenate([cm.roots[:, :, None], cm.children], axis=2)
-        return pd.DataFrame({
-            "cluster_id": [int(pdf["cluster_id"].iloc[0])],
-            "rows": [cm.esklsh.rows.ravel()],
-            "params": [params.ravel()],
-        })
-
-    return df.groupBy("cluster_id").applyInPandas(fit, schema=FIT_SCHEMA)
-
-
 def build_lider_spark(
     spark: SparkSession,
     emb: np.ndarray,
@@ -83,39 +59,35 @@ def build_lider_spark(
     assignments: np.ndarray | None = None,
     centroids: np.ndarray | None = None,
 ) -> LIDER:
-    """End-to-end distributed build; returns a ready-to-search LIDER.
+    """Spark k-means, then ``LIDER.fit``; returns a ready-to-search LIDER.
 
-    With ``assignments``/``centroids`` given, Stage 1 is skipped (tests use
-    this to compare against the driver build on identical clusters).
+    With ``assignments``/``centroids`` given, Stage 1 is skipped and no
+    Spark job runs (tests use this to compare against the driver build on
+    identical clusters). Otherwise ``report.stage1_seconds`` is the wall
+    time of the Spark DataFrame, its k-means and the assignment collect.
     ValueError, before any Spark job, for a corpus ``check_corpus`` rejects.
     """
     from repro.embeddings.corpus import EmbeddingCorpus
     from repro.embeddings.datasets import corpus_to_spark
 
+    config = config or LIDERConfig()
+    if assignments is not None or centroids is not None:
+        return LIDER(config).fit(emb, ids, assignments=assignments, centroids=centroids)
+
     emb, ids = check_corpus(emb, ids)
     n = emb.shape[0]
-    config = config or LIDERConfig()
     c, _ = config.resolve(n)
-
+    t0 = time.perf_counter()
     # No ids given: the Spark rows' id is their row position.
     corpus = EmbeddingCorpus(emb=emb, semantic=emb, topic=np.zeros(n, np.int32))
-    if assignments is None or centroids is None:
-        centroids, df = cluster_with_spark_kmeans(
-            spark, corpus_to_spark(spark, corpus), c, seed=config.base_seed
-        )
-        assigned = df.select("id", "cluster_id").toPandas()
-        assignments = np.empty(n, dtype=np.int32)
-        assignments[assigned["id"].to_numpy()] = assigned["cluster_id"].to_numpy()
-    else:
-        df = corpus_to_spark(spark, corpus, assignments)
-    in_cfg = config.core_config(IN_CLUSTER_GROUP)
-    fitted = {int(r.cluster_id): r for r in spark_fit_clusters(df, in_cfg).toPandas().itertuples()}
+    centroids, df = cluster_with_spark_kmeans(
+        spark, corpus_to_spark(spark, corpus), c, seed=config.base_seed
+    )
+    assigned = df.select("id", "cluster_id").toPandas()
+    assignments = np.empty(n, dtype=np.int32)
+    assignments[assigned["id"].to_numpy()] = assigned["cluster_id"].to_numpy()
+    stage1_seconds = time.perf_counter() - t0
 
-    def from_spark(j, emb_j, planes):
-        row = fitted[j]
-        params = np.reshape(row.params, (3, in_cfg.h, -1))
-        return np.reshape(row.rows, (in_cfg.h, -1)), params[:, :, 0], params[:, :, 1:]
-
-    lider = LIDER(config)
-    lider.assemble(emb, ids, centroids, assignments, from_spark)
+    lider = LIDER(config).fit(emb, ids, assignments=assignments, centroids=centroids)
+    lider.report.stage1_seconds = stage1_seconds
     return lider

@@ -39,6 +39,19 @@ def bad_corpus(case: str, emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # check_corpus's message for a corpus that is not a non-empty (n, d) array.
 BAD_SHAPE = "expected a non-empty"
 
+# Injected Stage-1 defects (on 8 clusters) → check_clusters's message.
+BAD_CLUSTERS = {
+    "assignments_only": "together",
+    "centroids_only": "together",
+    "assignments_short": "assignments have shape",
+    "assignments_float": "integers",
+    "assignment_equals_c": r"expected values in \[0, 8\)",
+    "assignment_negative": r"expected values in \[0, 8\)",
+    "centroids_wrong_dim": "centroids have shape",
+    "centroids_one_d": "centroids have shape",
+    "centroids_nan": "non-finite",
+}
+
 
 def merged_cluster_searches(lider: LIDER, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The top-k merge of ``CoreModel.search`` over the clusters ``lider``
@@ -148,6 +161,35 @@ class TestBuild:
         emb, ids = bad_corpus(case, corpus_small.emb)
         with pytest.raises(ValueError, match=match):
             LIDER(LIDERConfig(c=8, c0=4)).fit(emb, ids)
+
+    @pytest.mark.parametrize("case", BAD_CLUSTERS)
+    def test_bad_injected_clusters_raise(self, corpus_small, clustered_small, case):
+        """Injected Stage-1 output is checked where it enters: a short
+        assignment array would index a subset of the corpus, an out-of-range
+        cluster fail deep in the build, and a lone argument re-run k-means."""
+        cents, assign = clustered_small
+        cents, assign = cents.copy(), assign.copy()
+        kwargs = {"assignments": assign, "centroids": cents}
+        if case == "assignments_only":
+            del kwargs["centroids"]
+        elif case == "centroids_only":
+            del kwargs["assignments"]
+        elif case == "assignments_short":
+            kwargs["assignments"] = assign[:-500]
+        elif case == "assignments_float":
+            kwargs["assignments"] = assign.astype(np.float64)
+        elif case == "assignment_equals_c":
+            assign[11] = 8
+        elif case == "assignment_negative":
+            assign[11] = -1
+        elif case == "centroids_wrong_dim":
+            kwargs["centroids"] = cents[:, :-1]
+        elif case == "centroids_one_d":
+            kwargs["centroids"] = cents[0]
+        elif case == "centroids_nan":
+            cents[2, 5] = np.nan
+        with pytest.raises(ValueError, match=BAD_CLUSTERS[case]):
+            LIDER(LIDERConfig(c=8, c0=4)).fit(corpus_small.emb, **kwargs)
 
     def test_search_before_fit_raises(self):
         with pytest.raises(RuntimeError):

@@ -1,5 +1,8 @@
-"""Tests for the distributed (Spark dataflow) LIDER build: the Spark-built
-index is checked against the driver-side NumPy build and a DuckDB oracle."""
+"""Tests for the Spark LIDER build (Spark k-means, then ``LIDER.fit``): the
+Spark-built index is checked against the driver-side NumPy build and a
+DuckDB oracle, and an injected-cluster build must start no Spark job."""
+import time
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -184,6 +187,41 @@ class TestEndToEnd:
             corpus_small.emb, ids, assignments=dist.assignments, centroids=dist.centroids
         )
         assert_same_index(driver, dist)
+
+    def test_spark_kmeans_time_is_stage1(self, spark, corpus_small, monkeypatch):
+        """``report.stage1_seconds`` covers the Spark k-means call, which
+        ``LIDER.fit`` on the collected clusters would time as about 0."""
+        from repro.core import spark_build
+
+        spent = []
+
+        def spy(*args, **kwargs):
+            t0 = time.perf_counter()
+            out = cluster_with_spark_kmeans(*args, **kwargs)
+            spent.append(time.perf_counter() - t0)
+            return out
+
+        monkeypatch.setattr(spark_build, "cluster_with_spark_kmeans", spy)
+        dist = build_lider_spark(spark, corpus_small.emb, config=CFG)
+        (kmeans_seconds,) = spent
+        assert dist.report.stage1_seconds >= kmeans_seconds > 0
+
+    def test_injected_build_starts_no_spark_job(self, spark, corpus_small, clustered_small):
+        """On injected clusters the whole build runs on the driver. The job
+        group keeps a late-listed job of an earlier test out of the count."""
+        cents, assign = clustered_small
+        sc, group = spark.sparkContext, "injected-build"
+        tracker = sc.statusTracker()
+        sc.setJobGroup(group, "build_lider_spark on injected clusters")
+        try:
+            before = set(tracker.getJobIdsForGroup(group))
+            build_lider_spark(
+                spark, corpus_small.emb, config=CFG, assignments=assign, centroids=cents
+            )
+            after = set(tracker.getJobIdsForGroup(group))
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert after == before
 
     def test_spark_kmeans_build_searches_sensibly(self, spark, corpus_small, queries_small):
         idx = build_lider_spark(spark, corpus_small.emb, config=CFG)
