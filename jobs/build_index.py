@@ -1,7 +1,7 @@
 """Build a LIDER index with ``build_lider_spark`` (Spark k-means, then the
 in-cluster retrievers on the driver) and persist it as the "lider"
-DataSource layout (Parquet embeddings per cluster, and a versioned
-meta.json beside the centroids and LIDER's stacked arrays as .npy).
+DataSource layout: a versioned meta.json beside the centroids and LIDER's
+stacked arrays, the corpus included, as .npy.
 
     spark-submit jobs/build_index.py --dataset MSL-10k --out /tmp/lider_msl10k
 """

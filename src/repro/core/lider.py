@@ -341,29 +341,29 @@ class LIDER:
         probed = probed[self.sizes[probed] > 0]
         if probed.size == 0:
             return np.empty(0, np.int64), np.empty(0, np.float32)
-        parts = self.search_clusters(q, probed, k, [self.emb[self.part(j)] for j in probed])
+        parts = self.search_clusters(q, probed, k)
         all_ids = np.concatenate([p[0] for p in parts])
         all_scores = np.concatenate([p[1] for p in parts])
         top = top_k(all_scores, k)
         return all_ids[top], all_scores[top]
 
     def search_clusters(
-        self, q: np.ndarray, probed: np.ndarray, k: int, embs: list[np.ndarray]
+        self, q: np.ndarray, probed: np.ndarray, k: int
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Each probed cluster's top-k (ids, cosine scores), scores
         descending: what :meth:`search` merges and the Spark DataSource
-        yields. ``probed`` holds non-empty cluster ids, ``embs`` their rows.
-        Hash once and shift per cluster, predict all (clusters, H)
-        locations, gather every window with one ``np.take`` and union per
-        cluster, then verify each cluster."""
+        yields. ``probed`` holds non-empty cluster ids. Hash once and shift
+        per cluster, predict all (clusters, H) locations, gather every
+        window with one ``np.take`` and union per cluster, then verify each
+        cluster against its rows of ``emb``."""
         offsets, sizes = self.offsets[probed], self.sizes[probed]
         keys = query_keys(self.planes, q, self.shifts[probed, None])
         length = sizes[:, None].astype(np.float64)
         locs = rmi_locations(self.roots[probed], self.children[probed], length, keys)
         cands = window_union(self.rows, offsets, sizes, locs, self.config.r0 * k)
         return [
-            verify(emb, self.ids[o:o + n], rows, q, k)
-            for emb, o, n, rows in zip(embs, offsets.tolist(), sizes.tolist(), cands)
+            verify(self.emb[o:o + n], self.ids[o:o + n], rows, q, k)
+            for o, n, rows in zip(offsets.tolist(), sizes.tolist(), cands)
         ]
 
     # ------------------------------------------------------------------ stats

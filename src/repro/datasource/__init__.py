@@ -1,4 +1,4 @@
-"""The "lider" Python DataSource: LIDER as an index over Parquet embeddings."""
+"""The "lider" Python DataSource: LIDER as an index over its saved, memory-mapped layout."""
 from repro.datasource.lider_source import (  # noqa: F401
     LiderDataSource,
     register_lider_source,

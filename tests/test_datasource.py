@@ -32,32 +32,40 @@ def spark_registered(spark):
 
 
 class TestLayout:
-    def test_files_written(self, saved_index):
+    def test_files_written(self, saved_index, tmp_path):
+        """The index is ``index/``: the manifest and one .npy per array, no
+        pickles. Saving over a format-1 directory removes its Parquet
+        ``embeddings/`` tree and keeps the user's own file."""
         path, lider = saved_index
+        names = "centroids planes emb ids offsets sizes shifts rows roots children".split()
+        assert os.listdir(path) == ["index"]
         idx_dir = os.path.join(path, "index")
-        # The manifest and one .npy per array: no pickles.
-        names = "centroids planes ids offsets sizes shifts rows roots children".split()
         assert set(os.listdir(idx_dir)) == {"meta.json"} | {f"{n}.npy" for n in names}
         centroids = np.load(os.path.join(idx_dir, "centroids.npy"), allow_pickle=False)
         assert np.array_equal(centroids, lider.centroids)
-        for j in lider.in_cluster:
-            assert os.path.isdir(os.path.join(path, "embeddings", f"cluster_id={j}"))
+        old = tmp_path / "old" / "embeddings" / "cluster_id=0"
+        os.makedirs(old)
+        (old / "part-0.parquet").write_bytes(b"PAR1")
+        (tmp_path / "old" / "notes.txt").write_text("kept")
+        save_lider_index(lider, str(tmp_path / "old"))
+        assert set(os.listdir(tmp_path / "old")) == {"index", "notes.txt"}
 
     def test_pickles_are_embedding_free(self, saved_index):
         """Every index file is the manifest or an array that loads without
-        pickle, and none holds the embeddings."""
+        pickle, and only ``emb.npy`` holds (n, d) float rows: the
+        embeddings are stored once."""
         path, lider = saved_index
         idx_dir = os.path.join(path, "index")
         n, d = lider.emb.shape
-        total = 0
+        with_rows = []
         for name in os.listdir(idx_dir):
             if name == "meta.json":
                 continue
             a = np.load(os.path.join(idx_dir, name), allow_pickle=False)
             assert a.dtype != object
-            assert not (a.dtype.kind == "f" and a.shape[0] == n)  # no (n, …) float rows
-            total += a.nbytes
-        assert total < lider.emb.nbytes
+            if a.dtype.kind == "f" and a.shape == (n, d):
+                with_rows.append(name)
+        assert with_rows == ["emb.npy"]
 
     def test_cluster_pickle_holds_only_its_slice(self, saved_index):
         """The saved arrays are the in-memory layout's, dtype included."""
@@ -168,7 +176,7 @@ class TestReaderPlanning:
         shipped = pickle.loads(pickle.dumps(r))
         (part,) = r.partitions()
         rows = list(shipped.read(part))
-        assert part.value[1] == 100  # meta.json's default_k, resolved at planning
+        assert part.value[1] == 100  # DEFAULT_K, resolved at planning
         assert rows == list(r.read(part))
         assert [row[1] for row in rows if row[3] == 0] == list(part.value[0])
 
@@ -222,10 +230,12 @@ class TestReaderPlanning:
             mixed_widths += np.unique(np.minimum(r, lider.sizes[clusters])).size > 1
         assert (mixed_widths > 0) == (k == 100)
 
-    @pytest.mark.parametrize("version", [FORMAT_VERSION + 1, None], ids=["bumped", "missing"])
+    @pytest.mark.parametrize("version", [FORMAT_VERSION + 1, None, FORMAT_VERSION - 1],
+                             ids=["bumped", "missing", "previous"])
     def test_manifest_version_raises(self, saved_index, tmp_path, version):
         """An index saved in another format (e.g. before the manifest had a
-        version) is rejected, not misread."""
+        version, or with Parquet embeddings in version 1) is rejected, not
+        misread."""
         import shutil
 
         path, _ = saved_index
