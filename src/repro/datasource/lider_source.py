@@ -60,7 +60,7 @@ SCAN_ARRAYS = ("ids", "offsets", "sizes")
 
 def save_lider_index(lider, path: str) -> None:
     """Persist a fitted LIDER to the on-disk layout above. The ``index/``
-    tree of an earlier save to ``path``, and the per-cluster Parquet
+    tree of an earlier save to ``path``, and the per-cluster
     ``embeddings/`` tree of format version 1, are removed first; nothing
     else under ``path`` is touched."""
     for tree in ("index", "embeddings"):
@@ -89,7 +89,8 @@ def _manifest(path: str, names: tuple[str, ...]) -> dict:
     if meta.get("version") != FORMAT_VERSION:
         raise ValueError(f"{path}: index format version {meta.get('version')!r}, expected "
                          f"{FORMAT_VERSION}; re-save the index with save_lider_index")
-    on_disk = {e.name: e.stat().st_size for e in os.scandir(idx_dir)}
+    with os.scandir(idx_dir) as entries:
+        on_disk = {e.name: e.stat().st_size for e in entries}
     bad = [n for n in names if on_disk.get(f"{n}.npy", meta["bytes"][n]) != meta["bytes"][n]]
     if bad:
         raise ValueError(f"{path}: the byte length of {', '.join(bad)} differs from the "
