@@ -5,8 +5,14 @@
 """
 import argparse
 import json
+import os
 
-from repro.bench.tables import format_rows, table3
+# Queries are timed on one OpenBLAS thread, as the tests and perfbench time
+# them: the default pool's per-query time follows the box's load more than
+# the code. Set before the first NumPy import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from repro.bench.tables import format_rows, table3  # noqa: E402
 
 
 def main() -> None:

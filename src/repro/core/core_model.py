@@ -12,8 +12,9 @@ R = r0·km on each array → union of candidates → exact scoring → top-km.
 
 The re-scaler is a min-max map (§5.1) and every RMI model is linear
 (§5.2), so each (re-scaler, model) pair is one affine map of the decimal
-hashkey. ``fold_rmi`` collapses them at build time; the model then keeps
-only stacked (3, H) root and (3, H, W) child parameters.
+hashkey. ``fit_rmis`` fits every array's re-scaler and RMI from its
+sorted keys and collapses them at build time; the model then keeps only
+stacked (3, H) root and (3, H, W) child parameters.
 
 The search steps are module-level helpers — ``query_keys`` (hash at the
 shared tensor's full length, then shift), ``rmi_locations``,
@@ -31,8 +32,7 @@ import numpy as np
 
 from repro.lsh.esklsh import ESKLSH
 from repro.lsh.projections import hyperplanes
-from repro.rmi.rescale import KeyRescaler
-from repro.rmi.rmi import _BIG, SimplifiedRMI
+from repro.rmi.rmi import _BIG, LinearModel
 
 
 @dataclass
@@ -66,35 +66,57 @@ class CoreModelConfig:
         )
 
 
-def fold_rmi(rescaler: KeyRescaler, rmi: SimplifiedRMI) -> np.ndarray:
-    """(3, 1 + W) rows A, X, B — root in column 0, then the W children: the
-    fitted re-scaler composed with each linear model, A·(x − X) + B over the
+def fit_rmis(keys: np.ndarray, width: int, rescale: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Folded (3, H) roots and (3, H, W) children: one key re-scaler (§5.1)
+    and two-layer linear RMI (§5.2) per row of the (H, L) sorted hashkeys
+    ``keys``, collapsed into rows A, X, B of models A·(x − X) + B over the
     decimal hashkey x.
 
-    Re-scaled keys are x' = (x − key_min)·(L−1)/span, so a model
+    The keys are re-scaled as ``KeyRescaler`` does, in one (H, L)
+    expression, and every model is a ``LinearModel.fit`` on the keys
+    ``SimplifiedRMI`` gives it, in the same order, so the parameters equal
+    the per-array chain's bit for bit. A root that routes monotonically
+    (always with re-scaling: its slope is ≥ 0 on sorted keys) gives each
+    child a contiguous run of the array, fitted on that slice; other roots
+    route through one mask per child. An empty child copies the root.
+
+    Folding: re-scaled keys are x' = (x − key_min)·(L−1)/span, so a model
     a·(x' − x_mean) + b becomes A = a·(L−1)/span,
     X = key_min + x_mean·span/(L−1), B = b. A degenerate array (span 0)
     maps every key to 0, where the fit gives a = 0: every model is the
     constant b. Without re-scaling the models are used as fitted. |A| is
     clamped at ``_BIG`` so no product with a ≤50-bit key overflows;
-    clipped locations are unchanged.
-
-    Folding reorders floating-point operations, so a prediction within an
-    ulp of a rounding tie can land one location away from the unfolded
-    per-array path; the tests pin exact equality on their corpora.
+    clipped locations are unchanged. Folding reorders floating-point
+    operations, so a prediction within an ulp of a rounding tie can land
+    one location away from the unfolded path; the tests pin exact equality
+    on their corpora.
     """
-    models = [rmi.root, *rmi.children]
-    a = np.array([m.a for m in models])
-    x = np.array([m.x_mean for m in models])
-    b = np.array([m.b for m in models])
-    if rescaler.enabled:
-        span = rescaler.key_max - rescaler.key_min
-        if span > 0:
-            l1 = rescaler.array_length - 1
-            a, x = a * l1 / span, rescaler.key_min + x * span / l1
+    h, length = keys.shape
+    dec = keys.astype(np.float64)
+    lo, span = dec[:, :1], dec[:, -1:] - dec[:, :1]
+    spread = span > 0
+    x = (dec - lo) / np.where(spread, span, 1.0) * float(length - 1) if rescale else dec
+    pos = np.arange(length, dtype=np.float64)
+    params = np.empty((3, h, 1 + width))
+    for i, xi in enumerate(x):
+        root = LinearModel.fit(xi, pos, length)
+        params[:, i, 0] = root.a, root.x_mean, root.b
+        pred = np.clip(root.predict(xi), 0, length - 1)
+        child = np.clip(np.floor(pred * width / length).astype(np.int64), 0, width - 1)
+        if (child[1:] >= child[:-1]).all():
+            ends = np.searchsorted(child, np.arange(1, width + 1)).tolist()
+            members = [slice(s, e) for s, e in zip([0, *ends[:-1]], ends)]
         else:
-            a, x = np.zeros_like(a), np.full_like(x, rescaler.key_min)
-    return np.stack([np.clip(a, -_BIG, _BIG), x, b])
+            members = [child == j for j in range(width)]
+        for j, sel in enumerate(members, start=1):
+            model = LinearModel.fit(xi[sel], pos[sel], length) if pos[sel].size else root
+            params[:, i, j] = model.a, model.x_mean, model.b
+    a, xm, b = params
+    if rescale:
+        a = np.where(spread, a * (length - 1) / np.where(spread, span, 1.0), 0.0)
+        xm = np.where(spread, lo + xm * span / max(length - 1, 1), lo)
+    p = np.stack([np.clip(a, -_BIG, _BIG), xm, b])
+    return p[:, :, 0].copy(), p[:, :, 1:].copy()
 
 
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -112,7 +134,7 @@ def rmi_locations(
     """RMI-predicted locations in [0, length − 1] of (..., H) query keys.
 
     ``roots`` (..., 3, H) and ``children`` (..., 3, H, W) stack the A, X, B
-    rows of :func:`fold_rmi` — one model's, or one per probed cluster with
+    rows of :func:`fit_rmis` — one model's, or one per probed cluster with
     ``length`` (clusters, 1) — so any number of arrays costs the same ops.
     """
     x = keys.astype(np.float64)
@@ -145,7 +167,7 @@ class CoreModel:
         self.emb: np.ndarray | None = None  # (n, d) float32 unit rows
         self.ids: np.ndarray | None = None  # (n,) int64 external ids
         self.esklsh: ESKLSH | None = None
-        # Folded RMI parameters (see fold_rmi): the A, X, B rows of the
+        # Folded RMI parameters (see fit_rmis): the A, X, B rows of the
         # (3, H) roots and the (3, H, W) children.
         self.roots: np.ndarray | None = None
         self.children: np.ndarray | None = None
@@ -158,9 +180,11 @@ class CoreModel:
         *,
         planes: np.ndarray | None = None,
     ) -> "CoreModel":
-        """Build over ``emb``. ``planes`` is a longer tensor of this config's
-        seed group to hash with the first bits of (LIDER's shared in-cluster
-        planes); without it the model draws its own."""
+        """Build over ``emb``: sort its H hashkey arrays (``ESKLSH.fit``),
+        then fit their folded RMIs from the sorted keys (:func:`fit_rmis`).
+        ``planes`` is a longer tensor of this config's seed group to hash
+        with the first bits of (LIDER's shared in-cluster planes); without
+        it the model draws its own."""
         emb = np.ascontiguousarray(emb, dtype=np.float32)
         n = emb.shape[0]
         if n == 0:
@@ -173,15 +197,7 @@ class CoreModel:
             raise ValueError("ids must align with embeddings")
         cfg = self.config
         self.esklsh = self._esklsh(emb.shape[1], n, planes).fit(emb)
-        folded = []
-        for arr in self.esklsh.arrays:
-            rescaler = KeyRescaler(len(arr), enabled=cfg.rescale)
-            rmi = SimplifiedRMI(cfg.width, len(arr)).fit(
-                rescaler.fit_transform(arr.keys), np.arange(len(arr), dtype=np.float64)
-            )
-            folded.append(fold_rmi(rescaler, rmi))
-        p = np.stack(folded, axis=1)  # (3, H, 1 + W)
-        self.roots, self.children = p[:, :, 0].copy(), p[:, :, 1:].copy()
+        self.roots, self.children = fit_rmis(self.esklsh.keys, cfg.width, cfg.rescale)
         return self
 
     @classmethod

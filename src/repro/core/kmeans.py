@@ -49,11 +49,15 @@ def spherical_kmeans(
     centroids = train[g.choice(train.shape[0], c, replace=False)].copy()
     for _ in range(n_iter):
         labels = assign_clusters(train, centroids)
-        for j in range(c):
-            members = train[labels == j]
-            if members.shape[0] == 0:
+        # One stable sort per iteration (a radix sort on the narrowest label
+        # dtype): cluster j's members are a run of the order, in row order,
+        # as a boolean mask would pick them.
+        order = np.argsort(labels.astype(np.min_scalar_type(c - 1)), kind="stable")
+        ends = np.cumsum(np.bincount(labels, minlength=c)).tolist()
+        for j, (s, e) in enumerate(zip([0, *ends[:-1]], ends)):
+            if s == e:
                 centroids[j] = train[g.integers(0, train.shape[0])]
             else:
-                centroids[j] = members.mean(axis=0)
+                centroids[j] = np.take(train, order[s:e], axis=0).mean(axis=0)
         centroids = _normalize_rows(centroids).astype(np.float32)
     return centroids, assign_clusters(x, centroids)

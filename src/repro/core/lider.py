@@ -6,7 +6,9 @@ Build (staged as Table 5 reports; the paper's Stage 2, a learned
   * Stage 3 — ``LIDER.fit`` permutes the corpus once into cluster order,
     fits one core model per cluster (the *in-cluster retrievers*) on its
     slice in one plain loop, and stacks their sorted rows and folded RMI
-    parameters into one layout. §3.3.2's parallel build was measured no
+    parameters into one layout. Each core model sorts each hashkey array
+    once and fits its RMIs from the sorted keys, over each child's
+    contiguous run of the array. §3.3.2's parallel build was measured no
     faster, both as a thread pool over the clusters and as one Spark task
     per cluster, so the Spark build (``spark_build``) also ends in this
     loop. The sorted hashkeys the RMIs are fitted on are not kept: the RMI

@@ -107,28 +107,15 @@ def nq_queries(corpus: EmbeddingCorpus, n_queries: int = 200, seed: int = 29) ->
     return make_queries(corpus, n_queries, query_noise=0.75, emb_noise=0.4, seed=seed)
 
 
-def corpus_to_pandas(corpus: EmbeddingCorpus, cluster_ids: np.ndarray | None = None) -> pd.DataFrame:
-    """Corpus as a pandas frame: id, optional cluster_id, emb as list<float>."""
+def corpus_to_pandas(corpus: EmbeddingCorpus) -> pd.DataFrame:
+    """Corpus as a pandas frame: id, emb as list<float>."""
     pdf = pd.DataFrame({"id": corpus.ids.astype(np.int64)})
-    if cluster_ids is not None:
-        pdf["cluster_id"] = np.asarray(cluster_ids, dtype=np.int32)
     pdf["emb"] = list(corpus.emb.astype(np.float32))
     return pdf
 
 
-def corpus_to_spark(
-    spark: SparkSession, corpus: EmbeddingCorpus, cluster_ids: np.ndarray | None = None
-) -> DataFrame:
-    """Corpus as a Spark DataFrame (id BIGINT, [cluster_id INT,] emb ARRAY<FLOAT>)."""
-    pdf = corpus_to_pandas(corpus, cluster_ids)
+def corpus_to_spark(spark: SparkSession, corpus: EmbeddingCorpus) -> DataFrame:
+    """Corpus as a Spark DataFrame (id BIGINT, emb ARRAY<FLOAT>)."""
+    pdf = corpus_to_pandas(corpus)
     pdf = pdf.assign(emb=pdf["emb"].map(lambda a: [float(x) for x in a]))
-    schema = "id long" + (", cluster_id int" if cluster_ids is not None else "") + ", emb array<float>"
-    return spark.createDataFrame(pdf, schema=schema)
-
-
-def spark_to_matrix(df: DataFrame) -> tuple[np.ndarray, np.ndarray]:
-    """Collect (ids, embedding matrix) from a Spark corpus DataFrame."""
-    pdf = df.select("id", "emb").toPandas()
-    ids = pdf["id"].to_numpy(dtype=np.int64)
-    mat = np.vstack(pdf["emb"].map(np.asarray).to_numpy()).astype(np.float32)
-    return ids, mat
+    return spark.createDataFrame(pdf, schema="id long, emb array<float>")

@@ -164,16 +164,27 @@ class ESKLSH:
     def fit(self, x: np.ndarray) -> "ESKLSH":
         """Hash the corpus with each compound function and sort each array.
 
-        Ties in keys are broken by row id (stable) so builds are
-        deterministic and reproducible by the Spark path.
+        Ties in keys are broken by row id so builds are deterministic and
+        reproducible by the Spark path. While M + b ≤ 64, b the bits of a
+        row id, each array is one unstable ``np.sort`` of the distinct
+        values ``key << b | row``: the order of a stable argsort of the
+        keys. Longer keys take the stable argsort itself.
         """
         x = np.asarray(x, dtype=np.float32)
-        self._keys = np.empty((self.h, x.shape[0]), dtype=key_storage_dtype(self.m))
-        self.rows = np.empty((self.h, x.shape[0]), dtype=np.int32)
+        n = x.shape[0]
+        self._keys = np.empty((self.h, n), dtype=key_storage_dtype(self.m))
+        self.rows = np.empty((self.h, n), dtype=np.int32)
+        b = (n - 1).bit_length()
+        row_ids, shift = np.arange(n, dtype=np.uint64), np.uint64(b)
+        row_mask = np.uint64((1 << b) - 1)
         for h in range(self.h):
             keys = self.hash(x, h)
-            self.rows[h] = np.argsort(keys, kind="stable")
-            self._keys[h] = keys[self.rows[h]]
+            if self.m + b <= 64:
+                composite = np.sort(keys << shift | row_ids)
+                self.rows[h], self._keys[h] = composite & row_mask, composite >> shift
+            else:
+                self.rows[h] = np.argsort(keys, kind="stable")
+                self._keys[h] = keys[self.rows[h]]
         return self
 
     def query_keys(self, q: np.ndarray) -> np.ndarray:

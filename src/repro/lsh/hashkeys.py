@@ -34,20 +34,21 @@ def key_length_check(m: int) -> int:
     return m
 
 
-_WEIGHT_CACHE: dict[int, np.ndarray] = {}
-
-
 def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a (n, M) boolean/0-1 array into (n,) uint64 keys, MSB-first."""
+    """Pack a (n, M) boolean/0-1 array into (n,) uint64 keys, MSB-first.
+
+    ``np.packbits`` packs each row MSB-first into ceil(M/8) bytes, padded
+    with zero bits on the right; those bytes are the low bytes of a
+    big-endian uint64, and a right shift drops the padding."""
     bits = np.asarray(bits)
     if bits.ndim != 2:
         raise ValueError("bits must be 2-D (n, M)")
     m = key_length_check(bits.shape[1])
-    weights = _WEIGHT_CACHE.get(m)
-    if weights is None:
-        weights = np.uint64(1) << np.arange(m - 1, -1, -1, dtype=np.uint64)
-        _WEIGHT_CACHE[m] = weights
-    return (bits.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+    packed = np.packbits(bits, axis=1)
+    nb = packed.shape[1]
+    word = np.zeros((bits.shape[0], 8), dtype=np.uint8)
+    word[:, 8 - nb:] = packed
+    return word.view(">u8")[:, 0].astype(np.uint64) >> np.uint64(8 * nb - m)
 
 
 def unpack_bits(keys: np.ndarray, m: int) -> np.ndarray:

@@ -21,6 +21,7 @@ out-of-range failure mode the paper's Table 4 measures.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,11 +49,14 @@ class LinearModel:
             raise ValueError("x and y must be 1-D and aligned")
         if x.size == 0:
             raise ValueError("cannot fit on empty data")
-        x_mean = float(x.mean())
-        y_mean = float(y.mean())
+        # Each mean is np.mean's own sum and division, without its per-call
+        # overhead: a core model fits W + 1 models on every sorted array.
+        n = x.size
+        x_mean = float(np.add.reduce(x) / n)
+        y_mean = float(np.add.reduce(y) / n)
         xc = x - x_mean
-        var = float(np.mean(xc * xc))
-        cov = float(np.mean(xc * (y - y_mean)))
+        var = float(np.add.reduce(xc * xc) / n)
+        cov = float(np.add.reduce(xc * (y - y_mean)) / n)
         lr = LR_SLOPE_SCALE / float(l_ref) ** 2
         a = _gd_slope(var, cov, lr, GD_STEPS)
         # Centered intercept GD (lr 0.4) converges to y_mean in a few steps
@@ -84,9 +88,8 @@ def _gd_slope(var: float, cov: float, lr: float, steps: int) -> float:
     else:
         log_pow = steps * np.log(ar)
         r_pow = float(np.exp(min(log_pow, 709.0))) if log_pow > -745.0 else 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = (cov / var) * (1.0 - r_pow)
-    if not np.isfinite(a):
+    a = (cov / var) * (1.0 - r_pow)  # Python floats: overflow gives ±inf, no trap
+    if not math.isfinite(a):
         a = _BIG if a > 0 else -_BIG
     return float(a)
 
@@ -97,7 +100,9 @@ class SimplifiedRMI:
     Trained on (re-scaled key, location) pairs of one sorted array; predicts
     the location of a query key. ``predict_raw`` exposes the unclipped
     prediction, ``predict_location`` the clipped integer location the
-    expansion starts from.
+    expansion starts from. Core models fit the same models, folded, with
+    ``core_model.fit_rmis``; with ``KeyRescaler`` this class is the
+    per-array reference the tests compare that fit against.
     """
 
     def __init__(self, width: int, array_length: int):

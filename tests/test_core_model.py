@@ -2,12 +2,66 @@
 import numpy as np
 import pytest
 
+from repro.baselines.sklsh import SKLSHIndex
 from repro.core.core_model import CoreModel, CoreModelConfig
+from repro.embeddings.corpus import make_corpus
+from repro.lsh.esklsh import ESKLSH
 from repro.metrics import recall_at_k
 from repro.rmi.rescale import KeyRescaler
-from repro.rmi.rmi import SimplifiedRMI
+from repro.rmi.rmi import _BIG, SimplifiedRMI
 
 PARAMS = ("roots", "children")
+
+
+def fold_rmi(rescaler: KeyRescaler, rmi: SimplifiedRMI) -> np.ndarray:
+    """(3, 1 + W) rows A, X, B of one fitted array, root in column 0: the
+    re-scaler composed with each linear model, folded as ``fit_rmis``
+    documents."""
+    models = [rmi.root, *rmi.children]
+    a = np.array([m.a for m in models])
+    x = np.array([m.x_mean for m in models])
+    b = np.array([m.b for m in models])
+    if rescaler.enabled:
+        span = rescaler.key_max - rescaler.key_min
+        if span > 0:
+            l1 = rescaler.array_length - 1
+            a, x = a * l1 / span, rescaler.key_min + x * span / l1
+        else:
+            a, x = np.zeros_like(a), np.full_like(x, rescaler.key_min)
+    return np.stack([np.clip(a, -_BIG, _BIG), x, b])
+
+
+def reference_fit(esklsh: ESKLSH, x: np.ndarray, width: int, rescale: bool) -> dict:
+    """The per-array reference build of ``x`` under ``esklsh``'s planes: a
+    stable argsort of each array's keys, then ``KeyRescaler`` →
+    ``SimplifiedRMI`` → :func:`fold_rmi`. Also returns each array's root
+    routing (the child index of every sorted key)."""
+    out = {"rows": [], "keys": [], "params": [], "routes": []}
+    for h in range(esklsh.h):
+        keys = esklsh.hash(x, h)
+        rows = np.argsort(keys, kind="stable")
+        rescaler = KeyRescaler(len(rows), enabled=rescale)
+        scaled = rescaler.fit_transform(keys[rows])
+        rmi = SimplifiedRMI(width, len(rows)).fit(scaled, np.arange(len(rows), dtype=np.float64))
+        out["rows"].append(rows)
+        out["keys"].append(keys[rows])
+        out["params"].append(fold_rmi(rescaler, rmi))
+        out["routes"].append(rmi._route(scaled))
+    p = np.stack(out.pop("params"), axis=1)
+    out["roots"], out["children"] = p[:, :, 0], p[:, :, 1:]
+    out["rows"], out["keys"] = np.stack(out["rows"]), np.stack(out["keys"])
+    return out
+
+
+def assert_fit_matches_reference(cm: CoreModel, x: np.ndarray) -> dict:
+    """``cm``'s sorted rows and keys and its folded parameters equal the
+    per-array reference's, bit for bit."""
+    ref = reference_fit(cm.esklsh, x, cm.config.width, cm.config.rescale)
+    assert np.array_equal(cm.esklsh.rows, ref["rows"])
+    assert np.array_equal(cm.esklsh.keys, ref["keys"])
+    assert np.array_equal(cm.roots, ref["roots"])
+    assert np.array_equal(cm.children, ref["children"])
+    return ref
 
 
 def reference_locations(cm: CoreModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -117,6 +171,53 @@ class TestBuild:
         for planes in (too_short, wrong_h, wrong_dim):
             with pytest.raises(ValueError, match="cannot hash"):
                 CoreModel(cfg).fit(corpus_small.emb, planes=planes)
+
+
+class TestFitEqualsReference:
+    """``CoreModel.fit`` (one sort per array, RMIs fitted from sorted
+    slices) builds exactly what the per-array reference builds."""
+
+    def test_default_config(self, core_model_small, corpus_small):
+        ref = assert_fit_matches_reference(core_model_small, corpus_small.emb)
+        assert all((np.diff(r) >= 0).all() for r in ref["routes"])
+
+    def test_without_rescale_routes_through_masks(self, corpus_small):
+        """The Table-4 arm: diverged slopes route keys non-monotonically."""
+        cm = CoreModel(CoreModelConfig(h=4, rescale=False, pad=12)).fit(corpus_small.emb)
+        ref = assert_fit_matches_reference(cm, corpus_small.emb)
+        assert any((np.diff(r) < 0).any() for r in ref["routes"])
+
+    def test_identical_rows(self, corpus_small):
+        emb = np.repeat(corpus_small.emb[:1], 50, axis=0)
+        cm = CoreModel(CoreModelConfig(h=4)).fit(emb)
+        assert_fit_matches_reference(cm, emb)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("rescale", [True, False])
+    def test_tiny_collections(self, corpus_small, n, rescale):
+        cm = CoreModel(CoreModelConfig(h=4, rescale=rescale)).fit(corpus_small.emb[:n])
+        assert_fit_matches_reference(cm, corpus_small.emb[:n])
+
+    @pytest.mark.parametrize("rescale", [True, False])
+    def test_heavily_tied_keys(self, corpus_small, rescale):
+        """30 distinct rows repeated over 900, and 4-bit keys."""
+        emb = corpus_small.emb[np.random.default_rng(1).integers(0, 30, 900)]
+        cm = CoreModel(CoreModelConfig(h=6, pad=-6, rescale=rescale)).fit(emb)
+        assert cm.esklsh.m == 4
+        assert max(np.unique(k).size for k in cm.esklsh.keys) <= 16
+        assert_fit_matches_reference(cm, emb)
+
+    @pytest.mark.parametrize("n", [2**14, 2**14 + 1])
+    def test_sort_either_side_of_64_bits(self, n):
+        """SK-LSH with 50-bit keys: 2^14 rows need 14 row bits (one sort of
+        key << 14 | row), 2^14 + 1 need 15, past 64 (a stable argsort)."""
+        emb = make_corpus(3000, dim=8, seed=5).emb
+        emb = emb[np.random.default_rng(5).integers(0, 3000, n)]
+        esk = SKLSHIndex(h=2, m=50).fit(emb).esklsh
+        ref = reference_fit(esk, emb, 1, False)
+        assert (np.diff(ref["keys"]) == 0).any()
+        assert np.array_equal(esk.rows, ref["rows"])
+        assert np.array_equal(esk.keys, ref["keys"])
 
 
 class TestPredictLocations:

@@ -1,6 +1,7 @@
 """Tests for the dataset registry and Spark corpus IO."""
 import numpy as np
 import pytest
+from pyspark.sql import functions as F
 
 from repro.embeddings.corpus import make_corpus
 from repro.embeddings.datasets import (
@@ -11,7 +12,6 @@ from repro.embeddings.datasets import (
     dev_queries,
     load_dataset,
     nq_queries,
-    spark_to_matrix,
     trec_queries,
 )
 from repro.oracle import assert_equivalent
@@ -70,32 +70,28 @@ class TestSparkIO:
         pdf = corpus_to_pandas(corpus_small)
         assert list(pdf.columns) == ["id", "emb"] and len(pdf) == corpus_small.n
 
-    def test_pandas_with_clusters(self, corpus_small, clustered_small):
-        _, assign = clustered_small
-        pdf = corpus_to_pandas(corpus_small, assign)
-        assert "cluster_id" in pdf.columns
-
     def test_spark_round_trip(self, spark, corpus_small):
-        df = corpus_to_spark(spark, corpus_small)
-        ids, mat = spark_to_matrix(df)
+        pdf = corpus_to_spark(spark, corpus_small).toPandas()
+        ids = pdf["id"].to_numpy(dtype=np.int64)
+        mat = np.vstack(pdf["emb"].map(np.asarray).to_numpy()).astype(np.float32)
         order = np.argsort(ids)
         assert np.array_equal(ids[order], corpus_small.ids)
         assert np.allclose(mat[order], corpus_small.emb, atol=1e-6)
 
-    def test_spark_schema(self, spark, corpus_small, clustered_small):
-        _, assign = clustered_small
-        df = corpus_to_spark(spark, corpus_small, assign)
-        assert [f.name for f in df.schema.fields] == ["id", "cluster_id", "emb"]
+    def test_spark_schema(self, spark, corpus_small):
+        df = corpus_to_spark(spark, corpus_small)
+        assert [(f.name, f.dataType.simpleString()) for f in df.schema.fields] == [
+            ("id", "bigint"), ("emb", "array<float>")]
 
-    def test_cluster_counts_match_duckdb_oracle(self, spark, corpus_small, clustered_small):
-        """Spark groupBy over the corpus == DuckDB aggregation (result oracle
-        exercising the provided assert_equivalent on our corpus frames)."""
-        _, assign = clustered_small
-        df = corpus_to_spark(spark, corpus_small, assign)
-        got = df.groupBy("cluster_id").count().withColumnRenamed("count", "n")
-        pdf = corpus_to_pandas(corpus_small, assign).drop(columns=["emb"])
+    def test_id_groups_match_duckdb_oracle(self, spark, corpus_small):
+        """Spark groupBy over the corpus frame == DuckDB aggregation over its
+        pandas twin (result oracle on the corpus frames)."""
+        df = corpus_to_spark(spark, corpus_small)
+        got = df.groupBy((F.col("id") % 8).alias("g")).agg(
+            F.count("*").alias("n"), F.max("id").alias("top"))
+        pdf = corpus_to_pandas(corpus_small).drop(columns=["emb"])
         assert_equivalent(
             got,
-            "SELECT cluster_id, COUNT(*) AS n FROM corpus GROUP BY cluster_id",
+            "SELECT id % 8 AS g, COUNT(*) AS n, MAX(id) AS top FROM corpus GROUP BY g",
             corpus=pdf,
         )

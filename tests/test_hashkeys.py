@@ -48,6 +48,20 @@ class TestPacking:
         with pytest.raises(ValueError):
             key_length_check(m)
 
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64])
+    def test_equals_multiply_and_sum(self, dtype):
+        """``np.packbits`` packing equals the uint64 multiply-and-sum form
+        at every key length, for boolean and 0/1 integer bits."""
+        g = np.random.default_rng(0)
+        for m in range(1, MAX_BITS + 1):
+            bits = (g.random((64, m)) > 0.5).astype(dtype)
+            bits[0], bits[1] = 0, 1
+            weights = np.uint64(1) << np.arange(m - 1, -1, -1, dtype=np.uint64)
+            want = (bits.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+            got = pack_bits(bits)
+            assert got.dtype == np.uint64
+            assert np.array_equal(got, want), m
+
     @given(st.integers(min_value=1, max_value=MAX_BITS))
     @settings(max_examples=25, deadline=None)
     def test_roundtrip_property(self, m):

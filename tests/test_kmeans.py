@@ -9,6 +9,30 @@ from repro.embeddings.corpus import make_corpus
 from repro.oracle import assert_equivalent
 
 
+def per_mask_kmeans(x, c, *, n_iter=20, sample_cap=50_000, seed=11):
+    """The reference Lloyd update: each centroid the mean of a boolean
+    mask's members. Returns (centroids, assignments, empty-cluster
+    re-seeds)."""
+    x = np.asarray(x, dtype=np.float32)
+    n = x.shape[0]
+    g = np.random.default_rng(seed)
+    train = x if n <= sample_cap else x[g.choice(n, sample_cap, replace=False)]
+    centroids = train[g.choice(train.shape[0], c, replace=False)].copy()
+    reseeds = 0
+    for _ in range(n_iter):
+        labels = assign_clusters(train, centroids)
+        for j in range(c):
+            members = train[labels == j]
+            if members.shape[0] == 0:
+                centroids[j] = train[g.integers(0, train.shape[0])]
+                reseeds += 1
+            else:
+                centroids[j] = members.mean(axis=0)
+        norms = np.linalg.norm(centroids, axis=1, keepdims=True)
+        centroids = (centroids / np.maximum(norms, 1e-12)).astype(np.float32)
+    return centroids, assign_clusters(x, centroids), reseeds
+
+
 class TestAssignClusters:
     def test_max_inner_product(self):
         x = np.eye(3, dtype=np.float32)
@@ -55,6 +79,25 @@ class TestSphericalKMeans:
         a = spherical_kmeans(corpus_small.emb, 5, seed=2)
         b = spherical_kmeans(corpus_small.emb, 5, seed=2)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("seed", [2, 9])
+    def test_equals_per_mask_update(self, corpus_small, seed):
+        """The sort-once update averages the same rows, in the same order,
+        as a boolean mask per cluster: bit-identical centroids."""
+        got = spherical_kmeans(corpus_small.emb, 12, sample_cap=1500, seed=seed)
+        want = per_mask_kmeans(corpus_small.emb, 12, sample_cap=1500, seed=seed)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_equals_per_mask_update_with_reseeds(self):
+        """Four distinct points, eight clusters: duplicate initial centroids
+        leave clusters empty, and their re-seeds draw from the generator in
+        the same order as the per-mask update's."""
+        base = make_corpus(4, dim=8, seed=1).emb
+        x = base[np.random.default_rng(0).integers(0, 4, 200)]
+        got = spherical_kmeans(x, 8, n_iter=6, seed=3)
+        want_c, want_a, reseeds = per_mask_kmeans(x, 8, n_iter=6, seed=3)
+        assert reseeds > 0
+        assert np.array_equal(got[0], want_c) and np.array_equal(got[1], want_a)
 
     def test_recovers_separated_topics(self):
         c = make_corpus(3000, dim=32, n_topics=5, topic_spread=0.2, seed=4)

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core.core_model import CoreModel, top_k
 from repro.core.lider import IN_CLUSTER_GROUP, LIDER, LIDERConfig, check_corpus, check_query
 from repro.embeddings.corpus import make_corpus
+from repro.lsh.esklsh import ESKLSH
 from repro.metrics import mrr_at_k, recall_at_k
+from tests.test_core_model import reference_fit
 
 
 def bad_corpus(case: str, emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,6 +143,26 @@ class TestBuild:
         )
         assert np.array_equal(idx.assignments, assign)
         assert np.array_equal(idx.centroids, cents)
+
+    def test_layout_equals_per_array_reference(self, corpus_small):
+        """Clusters of 1 and 2 rows, an empty one and larger ones: each
+        block, root and child set equals the per-array reference's over the
+        cluster's rows, in row order, with its view of the planes."""
+        n = 400
+        assignments = np.random.default_rng(2).integers(2, 5, n).astype(np.int32)
+        assignments[[5, 17, 300]] = [0, 1, 1]  # cluster 0: one row, 1: two, 5: none
+        centroids = np.eye(6, corpus_small.dim, dtype=np.float32)
+        lider = LIDER(LIDERConfig(c0=2)).fit(
+            corpus_small.emb[:n], assignments=assignments, centroids=centroids)
+        assert lider.sizes.tolist()[:2] == [1, 2] and lider.sizes[5] == 0
+        in_cfg = lider.config.core_config(IN_CLUSTER_GROUP)
+        for j in lider.in_cluster:
+            rows = corpus_small.emb[:n][assignments == j]
+            esk = ESKLSH(lider.planes, in_cfg.hashkey_bits(rows.shape[0]))
+            ref = reference_fit(esk, rows, in_cfg.width, in_cfg.rescale)
+            assert np.array_equal(lider.block(j), ref["rows"])
+            assert np.array_equal(lider.roots[j], ref["roots"])
+            assert np.array_equal(lider.children[j], ref["children"])
 
     @pytest.mark.parametrize(
         "case, match",

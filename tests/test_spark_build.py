@@ -49,9 +49,8 @@ def assert_same_index(driver: LIDER, dist: LIDER) -> None:
 
 
 @pytest.fixture(scope="module")
-def spark_df(spark, corpus_small, clustered_small):
-    _, assign = clustered_small
-    return corpus_to_spark(spark, corpus_small, assign)
+def spark_df(spark, corpus_small):
+    return corpus_to_spark(spark, corpus_small)
 
 
 @pytest.fixture(scope="module")
