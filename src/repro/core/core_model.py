@@ -34,6 +34,12 @@ from repro.lsh.esklsh import ESKLSH
 from repro.lsh.projections import hyperplanes
 from repro.rmi.rmi import _BIG, LinearModel
 
+# Coverage share above which a probed cluster is scanned whole
+# (``scans_whole``): the crossover, on a loaded box, of windowed and
+# whole-cluster p50 over a k-sweep on MSL-200k at c=40, one BLAS thread
+# (``results/gate_crossover.json``, written by ``jobs/gate_crossover.py``).
+GATE_ALPHA = 0.57
+
 
 @dataclass
 class CoreModelConfig:
@@ -149,14 +155,24 @@ def rmi_locations(
     return np.clip(np.rint(pred), 0.0, lmax).astype(np.int64)
 
 
+def scans_whole(h: int, r: int, n):
+    """Where a collection of ``n`` rows is scored whole instead of through
+    its windows: H windows of width min(r, n) would fill at least
+    ``GATE_ALPHA``·n slots, so they would reach most of it anyway.
+    Elementwise over an array ``n`` (one size per probed cluster)."""
+    return h * np.minimum(r, n) >= GATE_ALPHA * np.asarray(n)
+
+
 def verify(
-    emb: np.ndarray, ids: np.ndarray, rows: np.ndarray, q: np.ndarray, k: int
+    emb: np.ndarray, ids: np.ndarray, rows: np.ndarray | None, q: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k of the candidate ``rows`` by exact cosine: (ids, scores),
-    scores descending."""
-    scores = np.take(emb, rows, axis=0) @ q
+    """Top-k by exact cosine of the candidate ``rows`` of ``emb``, or of
+    every row when ``rows`` is None (a whole scan, no gather): (ids,
+    scores), scores descending. Both score with one ``einsum``, whose sum
+    runs within each row, so a row scores the same bit for bit either way."""
+    scores = np.einsum("ij,j->i", emb if rows is None else np.take(emb, rows, axis=0), q)
     top = top_k(scores, k)
-    return ids[rows[top]], scores[top]
+    return ids[top if rows is None else rows[top]], scores[top]
 
 
 class CoreModel:
@@ -243,15 +259,26 @@ class CoreModel:
         q_keys = self.esklsh.query_keys(q)
         return q_keys, rmi_locations(self.roots, self.children, float(self.n), q_keys)
 
-    def candidate_rows(self, q: np.ndarray, km: int) -> np.ndarray:
-        """Steps 1–4 of the core-model search: hash, predict, expand, union."""
+    def _windows(self, q: np.ndarray, km: int) -> np.ndarray | None:
+        """Steps 1–4 of the core-model search: hash, predict, expand, union;
+        None, with no step run, where the model is scanned whole
+        (:func:`scans_whole`)."""
+        r = self.config.r0 * km
+        if scans_whole(self.config.h, r, self.n):
+            return None
         _, locs = self.predict_locations(q)
-        return self.esklsh.candidate_rows(locs, self.config.r0 * km)
+        return self.esklsh.candidate_rows(locs, r)
+
+    def candidate_rows(self, q: np.ndarray, km: int) -> np.ndarray:
+        """The rows :meth:`search` verifies: the windows' union, or every
+        row of a model scanned whole."""
+        rows = self._windows(q, km)
+        return np.arange(self.n) if rows is None else rows
 
     def search(self, q: np.ndarray, km: int) -> tuple[np.ndarray, np.ndarray]:
         """Top-km (external ids, cosine scores), scores descending."""
         q = np.asarray(q, dtype=np.float32)
-        return verify(self.emb, self.ids, self.candidate_rows(q, km), q, km)
+        return verify(self.emb, self.ids, self._windows(q, km), q, km)
 
     # ------------------------------------------------------------------ stats
     @property

@@ -33,7 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.core_model import CoreModel, CoreModelConfig, rmi_locations, top_k, verify
+from repro.core.core_model import (
+    CoreModel, CoreModelConfig, rmi_locations, scans_whole, top_k, verify,
+)
 from repro.core.kmeans import spherical_kmeans
 from repro.lsh.esklsh import query_keys, window_union
 
@@ -205,8 +207,13 @@ class ClusterViews(Mapping):
 
     lider: "LIDER"
 
+    def __contains__(self, j) -> bool:
+        """Whether ``j`` is a non-empty cluster id, in O(1), making no view."""
+        sizes = self.lider.sizes
+        return isinstance(j, (int, np.integer)) and 0 <= j < sizes.shape[0] and bool(sizes[j])
+
     def __getitem__(self, j) -> CoreModel:
-        if j not in list(self):
+        if j not in self:
             raise KeyError(j)
         lider, part = self.lider, self.lider.part(j)
         return CoreModel.from_parts(
@@ -354,15 +361,23 @@ class LIDER:
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Each probed cluster's top-k (ids, cosine scores), scores
         descending: what :meth:`search` merges and the Spark DataSource
-        yields. ``probed`` holds non-empty cluster ids. Hash once and shift
-        per cluster, predict all (clusters, H) locations, gather every
-        window with one ``np.take`` and union per cluster, then verify each
-        cluster against its rows of ``emb``."""
+        yields. ``probed`` is an array of non-empty cluster ids. A cluster
+        whose windows would reach most of it (:func:`scans_whole`) skips
+        them and is verified whole. For the rest: hash once and shift per
+        cluster, predict all (clusters, H) locations, gather every window
+        with one ``np.take`` and union per cluster, then verify each
+        cluster's candidates against its rows of ``emb``."""
         offsets, sizes = self.offsets[probed], self.sizes[probed]
-        keys = query_keys(self.planes, q, self.shifts[probed, None])
-        length = sizes[:, None].astype(np.float64)
-        locs = rmi_locations(self.roots[probed], self.children[probed], length, keys)
-        cands = window_union(self.rows, offsets, sizes, locs, self.config.r0 * k)
+        r = self.config.r0 * k
+        cands: list[np.ndarray | None] = [None] * len(sizes)
+        windowed = np.flatnonzero(~scans_whole(self.planes.shape[0], r, sizes))
+        if windowed.size:
+            wp, wo, wn = probed[windowed], offsets[windowed], sizes[windowed]
+            keys = query_keys(self.planes, q, self.shifts[wp, None])
+            length = wn[:, None].astype(np.float64)
+            locs = rmi_locations(self.roots[wp], self.children[wp], length, keys)
+            for i, rows in zip(windowed.tolist(), window_union(self.rows, wo, wn, locs, r)):
+                cands[i] = rows
         return [
             verify(self.emb[o:o + n], self.ids[o:o + n], rows, q, k)
             for o, n, rows in zip(offsets.tolist(), sizes.tolist(), cands)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.sklsh import SKLSHIndex
-from repro.core.core_model import CoreModel, CoreModelConfig
+from repro.core.core_model import CoreModel, CoreModelConfig, scans_whole
 from repro.embeddings.corpus import make_corpus
 from repro.lsh.esklsh import ESKLSH
 from repro.metrics import recall_at_k
@@ -276,26 +276,38 @@ class TestSearch:
             assert row == ids[0]
 
     def test_recall_reasonable(self, core_model_small, queries_small, truth_small):
-        ranked = [core_model_small.search(q, 100)[0] for q in queries_small.emb]
-        assert recall_at_k(ranked, truth_small, 100) > 0.5
+        """Through the windows: H·r0·k = 960 slots over 2000 rows."""
+        assert not scans_whole(8, core_model_small.config.r0 * 30, 2000)
+        ranked = [core_model_small.search(q, 30)[0] for q in queries_small.emb]
+        assert recall_at_k(ranked, truth_small, 30) > 0.5
+
+    def test_whole_scan_is_exact(self, core_model_small, corpus_small, queries_small, truth_small):
+        """Above α the model is scanned whole: the exact top-k."""
+        assert scans_whole(8, core_model_small.config.r0 * 100, 2000)
+        for q, truth in zip(queries_small.emb, truth_small):
+            assert np.array_equal(np.sort(core_model_small.search(q, 100)[0]), np.sort(truth))
 
     def test_km_respected(self, core_model_small, queries_small):
         ids, _ = core_model_small.search(queries_small.emb[0], 3)
         assert len(ids) == 3
 
     def test_larger_r0_not_worse(self, corpus_small, queries_small, truth_small):
+        """Both through the windows: r0=4 reaches 800 slots of 2000 rows."""
+        assert not scans_whole(4, 4 * 50, corpus_small.n)
         small = CoreModel(CoreModelConfig(h=4, r0=1)).fit(corpus_small.emb)
-        big = CoreModel(CoreModelConfig(h=4, r0=8)).fit(corpus_small.emb)
+        big = CoreModel(CoreModelConfig(h=4, r0=4)).fit(corpus_small.emb)
         r_small = recall_at_k([small.search(q, 50)[0] for q in queries_small.emb], truth_small, 50)
         r_big = recall_at_k([big.search(q, 50)[0] for q in queries_small.emb], truth_small, 50)
         assert r_big >= r_small
 
     def test_more_arrays_not_worse(self, corpus_small, queries_small, truth_small):
-        """The Table-3 trend: more ESK-LSH arrays → better retrieval."""
+        """The Table-3 trend: more ESK-LSH arrays → better retrieval. Both
+        through the windows: H=16 reaches 640 slots of 2000 rows at k=10."""
+        assert not scans_whole(16, 4 * 10, corpus_small.n)
         few = CoreModel(CoreModelConfig(h=2)).fit(corpus_small.emb)
         many = CoreModel(CoreModelConfig(h=16)).fit(corpus_small.emb)
-        r_few = recall_at_k([few.search(q, 50)[0] for q in queries_small.emb], truth_small, 50)
-        r_many = recall_at_k([many.search(q, 50)[0] for q in queries_small.emb], truth_small, 50)
+        r_few = recall_at_k([few.search(q, 10)[0] for q in queries_small.emb], truth_small, 10)
+        r_many = recall_at_k([many.search(q, 10)[0] for q in queries_small.emb], truth_small, 10)
         assert r_many >= r_few
 
 

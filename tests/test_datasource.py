@@ -7,11 +7,13 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.core_model import scans_whole
 from repro.core.lider import LIDER, LIDERConfig
 from repro.oracle import assert_equivalent
 from repro.datasource import register_lider_source, save_lider_index
 from repro.datasource.lider_source import ARRAYS, FORMAT_VERSION, LiderReader, ann_search_df
 from pyspark.sql.datasource import EqualTo, GreaterThan, In
+from tests.test_lider import WINDOWED_K
 
 
 @pytest.fixture(scope="module")
@@ -192,13 +194,15 @@ class TestReaderPlanning:
         with pytest.raises(ValueError, match="option c0 must be at least 1"):
             self._reader(path, query=queries_small.emb[0], c0=c0).partitions()
 
-    @pytest.mark.parametrize("k", [20, 100])
+    @pytest.mark.parametrize("k", [WINDOWED_K, 100])
     def test_read_equals_cluster_searches(self, saved_index, queries_small, monkeypatch, k):
         """Drained without Spark, ``read`` yields each probed cluster's
         in-memory ``CoreModel.search`` top-k, ids and scores exactly. It
         builds no core model and runs ``LIDER.search_clusters``, the pass
-        ``LIDER.search`` merges. At k=100 the r0·k windows are clipped to
-        the clusters, so window widths differ across probed clusters."""
+        ``LIDER.search`` merges: through every probed cluster's windows at
+        ``WINDOWED_K``, and by whole scans at k=100, where the r0·k windows
+        would be clipped to the clusters, so window widths differ across
+        probed clusters."""
         from repro.core.core_model import CoreModel
 
         path, lider = saved_index
@@ -227,6 +231,8 @@ class TestReaderPlanning:
                 assert [row[3] for row in got] == list(range(ids.size))
                 assert np.array_equal([row[0] for row in got], ids)
                 assert np.array_equal(np.float32([row[2] for row in got]), scores)
+            whole = scans_whole(lider.config.h, r, lider.sizes[clusters])
+            assert whole.all() if k == 100 else not whole.any()
             mixed_widths += np.unique(np.minimum(r, lider.sizes[clusters])).size > 1
         assert (mixed_widths > 0) == (k == 100)
 

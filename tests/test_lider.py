@@ -3,10 +3,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.core_model import CoreModel, top_k
+from repro.core import core_model
+from repro.core.core_model import CoreModel, scans_whole, top_k, verify
 from repro.core.lider import IN_CLUSTER_GROUP, LIDER, LIDERConfig, check_corpus, check_query
 from repro.embeddings.corpus import make_corpus
-from repro.lsh.esklsh import ESKLSH
+from repro.lsh.esklsh import ESKLSH, window_union
+from repro.oracle import assert_equivalent
 from repro.metrics import mrr_at_k, recall_at_k
 from tests.test_core_model import reference_fit
 
@@ -53,6 +55,11 @@ BAD_CLUSTERS = {
     "centroids_one_d": "centroids have shape",
     "centroids_nan": "non-finite",
 }
+
+
+# Below α on lider_small's 155–506-row clusters: H·r0·k = 80 slots reach
+# 0.52 of the smallest, so every probed cluster runs its windows.
+WINDOWED_K = 2
 
 
 def merged_cluster_searches(lider: LIDER, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -274,11 +281,13 @@ class TestSearch:
         with pytest.raises(ValueError, match="norm"):
             lider_small.search(queries_small.emb[0] * 100, 10)
 
-    @pytest.mark.parametrize("k", [20, 100])
+    @pytest.mark.parametrize("k", [WINDOWED_K, 100])
     def test_search_equals_merged_cluster_searches(self, lider_small, queries_small, k):
         """The fused pass returns what the per-cluster ``CoreModel.search``
-        calls return, merged. At k=100 the r0·k windows are clipped to the
-        ~250-row clusters, so window widths differ across probed clusters."""
+        calls return, merged: through every probed cluster's windows at
+        ``WINDOWED_K``, and by whole scans at k=100, where the r0·k windows
+        would be clipped to the 155–506-row clusters, so window widths
+        differ across probed clusters."""
         r = lider_small.config.r0 * k
         _, c0 = lider_small.config.resolve(lider_small.assignments.shape[0])
         mixed_widths = 0
@@ -288,15 +297,33 @@ class TestSearch:
             assert np.array_equal(ids, want_ids)
             assert np.array_equal(scores, want_scores)
             probed, _ = lider_small.centroid_retriever.search(q, km=c0)
+            whole = scans_whole(lider_small.config.h, r, lider_small.sizes[probed])
+            assert whole.all() if k == 100 else not whole.any()
             mixed_widths += np.unique(np.minimum(r, lider_small.sizes[probed])).size > 1
         assert (mixed_widths > 0) == (k == 100)
 
+    def test_window_union_of_mixed_widths_equals_per_cluster_windows(
+        self, lider_small, queries_small
+    ):
+        """Windows clipped to some clusters and not others: one
+        ``window_union`` over the layout gives each cluster's own
+        ``ESKLSH.candidate_rows``. (A probed cluster whose windows are
+        clipped is always scanned whole, H·n_j ≥ α·n_j, so only this call
+        runs clipped windows side by side.)"""
+        sizes = lider_small.sizes
+        r = int(np.median(sizes))
+        assert (sizes < r).any() and (sizes > r).any()
+        views = dict(lider_small.in_cluster)
+        clusters = np.flatnonzero(sizes)
+        for q in queries_small.emb[:10]:
+            locs = np.stack([views[j].predict_locations(q)[1] for j in clusters.tolist()])
+            got = window_union(lider_small.rows, lider_small.offsets[clusters],
+                               sizes[clusters], locs, r)
+            for j, rows, loc in zip(clusters.tolist(), got, locs):
+                assert np.array_equal(rows, views[j].esklsh.candidate_rows(loc, r))
+
     def test_empty_probed_cluster_skipped(self, corpus_small, clustered_small, queries_small):
-        cents, assign = clustered_small
-        assign = np.where(assign == 3, 2, assign).astype(np.int32)
-        idx = LIDER(LIDERConfig(c=8, c0=4)).fit(
-            corpus_small.emb, assignments=assign, centroids=cents
-        )
+        idx = lider_with_empty_cluster(corpus_small, clustered_small)
         assert 3 not in idx.in_cluster and idx.sizes[3] == 0
         probed_empty = 0
         for q in queries_small.emb:
@@ -364,6 +391,159 @@ class TestMemory:
         fraction of the index."""
         ir_bytes = lider_small.memory_footprint() - lider_small.report.stage1_bytes
         assert ir_bytes > 0.5 * lider_small.memory_footprint()
+
+
+def lider_with_empty_cluster(corpus_small, clustered_small) -> LIDER:
+    """lider_small's clusters with cluster 3 merged into 2, so 3 is empty."""
+    cents, assign = clustered_small
+    assign = np.where(assign == 3, 2, assign).astype(np.int32)
+    return LIDER(LIDERConfig(c=8, c0=4)).fit(corpus_small.emb, assignments=assign, centroids=cents)
+
+
+class TestClusterViews:
+    @pytest.mark.parametrize("j", [-1, -8, 8, 100, np.int64(-1), np.int64(8), 2.0, "2", None])
+    def test_non_cluster_ids_not_in_and_raise(self, lider_small, j):
+        assert j not in lider_small.in_cluster
+        with pytest.raises(KeyError):
+            lider_small.in_cluster[j]
+
+    def test_empty_cluster_not_in_and_raises(self, corpus_small, clustered_small):
+        idx = lider_with_empty_cluster(corpus_small, clustered_small)
+        assert idx.sizes[3] == 0
+        assert 3 not in idx.in_cluster and np.int32(3) not in idx.in_cluster
+        with pytest.raises(KeyError):
+            idx.in_cluster[3]
+        assert sorted(idx.in_cluster) == [0, 1, 2, 4, 5, 6, 7]
+
+    def test_membership_and_access_build_no_other_view(self, lider_small, monkeypatch):
+        """``j in in_cluster`` makes no view, and ``in_cluster[j]`` makes
+        only j's, without listing the clusters."""
+        from repro.core.lider import ClusterViews
+
+        made = []
+        from_parts = CoreModel.from_parts.__func__
+
+        def counted(cls, *args, **kwargs):
+            made.append(cls)
+            return from_parts(cls, *args, **kwargs)
+
+        def no_listing(self):
+            raise AssertionError("listed every cluster")
+
+        monkeypatch.setattr(CoreModel, "from_parts", classmethod(counted))
+        monkeypatch.setattr(ClusterViews, "__iter__", no_listing)
+        views = lider_small.in_cluster
+        assert all(j in views for j in range(8)) and np.int64(5) in views
+        assert made == []
+        assert views[5].n == lider_small.sizes[5]
+        assert len(made) == 1
+
+
+class TestWholeClusterScan:
+    """A probed cluster whose windows would reach most of it
+    (``scans_whole``) is verified whole: its exact top-k."""
+
+    def test_gated_clusters_match_duckdb_oracle(self, spark, lider_small, corpus_small,
+                                                queries_small):
+        """Each gated probed cluster's (ids, scores) from ``search_clusters``
+        == DuckDB's top-k by dot product over that cluster's rows."""
+        import pandas as pd
+
+        k, lider = 20, lider_small
+        _, c0 = lider.config.resolve(lider.assignments.shape[0])
+        rows, qembs = [], []
+        for qid, q in enumerate(queries_small.emb[:5]):
+            probed, _ = lider.centroid_retriever.search(q, km=c0)
+            assert scans_whole(lider.config.h, lider.config.r0 * k, lider.sizes[probed]).all()
+            for j, (ids, scores) in zip(probed.tolist(), lider.search_clusters(q, probed, k)):
+                assert ids.size == k
+                assert np.array_equal(scores, np.sort(scores)[::-1])
+                exact = corpus_small.emb[ids].astype(np.float64) @ q.astype(np.float64)
+                assert np.allclose(scores, exact, atol=1e-6)
+                rows += [(qid, j, int(i), float(s)) for i, s in zip(ids, exact)]
+            qembs.append((qid, [float(x) for x in q], probed.tolist()))
+        got = spark.createDataFrame(
+            pd.DataFrame(rows, columns=["qid", "cluster_id", "pid", "score"]),
+            schema="qid long, cluster_id long, pid long, score double",
+        )
+        passages = pd.DataFrame({
+            "pid": lider.ids, "cluster_id": np.repeat(np.arange(8), lider.sizes),
+            "emb": [list(map(float, v)) for v in lider.emb],
+        })
+        queries = pd.DataFrame(
+            [(qid, emb, j) for qid, emb, probed in qembs for j in probed],
+            columns=["qid", "qemb", "cluster_id"],
+        )
+        sql = f"""
+            SELECT qid, cluster_id, pid, score FROM (
+                SELECT qid, cluster_id, pid,
+                       list_dot_product(emb, qemb) AS score,
+                       ROW_NUMBER() OVER (
+                           PARTITION BY qid, cluster_id
+                           ORDER BY list_dot_product(emb, qemb) DESC, pid
+                       ) AS rnk
+                FROM queries JOIN passages USING (cluster_id)
+            ) WHERE rnk <= {k}
+        """
+        assert_equivalent(got, sql, passages=passages, queries=queries)
+
+    def test_search_equals_merged_views_on_mixed_probes(
+        self, corpus_small, clustered_small, queries_small
+    ):
+        """Clusters of ~1000 and of 155–290 rows, all probed at k=5: the
+        large ones run their windows, the small ones are scanned whole, and
+        LIDER.search is still the merge of the views' searches."""
+        cents, assign = clustered_small
+        assign = np.where(assign < 4, 0, assign).astype(np.int32)
+        idx = LIDER(LIDERConfig(c=8, c0=8)).fit(corpus_small.emb, assignments=assign,
+                                                centroids=cents)
+        k = 5
+        whole = scans_whole(idx.config.h, idx.config.r0 * k, idx.sizes[idx.sizes > 0])
+        assert whole.any() and not whole.all()
+        for q in queries_small.emb:
+            ids, scores = idx.search(q, k)
+            want_ids, want_scores = merged_cluster_searches(idx, q, k)
+            assert np.array_equal(ids, want_ids)
+            assert np.array_equal(scores, want_scores)
+
+    def test_candidate_rows_below_alpha_are_the_windows(self, lider_small, queries_small):
+        """Below α a view's candidates are ``ESKLSH.candidate_rows`` on its
+        RMI locations; above it, every row of the cluster."""
+        r0 = lider_small.config.r0
+        for j, view in lider_small.in_cluster.items():
+            for q in queries_small.emb[:10]:
+                windows = view.esklsh.candidate_rows(view.predict_locations(q)[1], r0 * WINDOWED_K)
+                assert np.array_equal(view.candidate_rows(q, WINDOWED_K), windows)
+                assert np.array_equal(view.candidate_rows(q, 100), np.arange(view.n))
+
+    def test_whole_scan_is_a_superset_of_the_windows(self, lider_small, queries_small,
+                                                     monkeypatch):
+        """Forced through its windows, each gated cluster's i-th best score
+        is never above its whole scan's: recall can only rise."""
+        lider, k = lider_small, 20
+        _, c0 = lider.config.resolve(lider.assignments.shape[0])
+        probes = [lider.centroid_retriever.search(q, km=c0)[0] for q in queries_small.emb]
+        assert all(scans_whole(lider.config.h, lider.config.r0 * k, lider.sizes[p]).all()
+                   for p in probes)
+        whole = [lider.search_clusters(q, p, k) for q, p in zip(queries_small.emb, probes)]
+        monkeypatch.setattr(core_model, "GATE_ALPHA", np.inf)
+        windowed = [lider.search_clusters(q, p, k) for q, p in zip(queries_small.emb, probes)]
+        for parts_whole, parts_win in zip(whole, windowed):
+            for (_, s_whole), (_, s_win) in zip(parts_whole, parts_win):
+                assert (s_whole[:s_win.size] >= s_win).all()
+
+    def test_verify_scores_a_row_the_same_gathered_or_whole(self, lider_small, queries_small):
+        """One einsum scores both forms, so a row's score is bit-identical
+        whether its cluster is scanned whole or its row is gathered."""
+        emb, ids = lider_small.emb, lider_small.ids
+        rng = np.random.default_rng(0)
+        for q in queries_small.emb[:10]:
+            all_ids, all_scores = verify(emb, ids, None, q, emb.shape[0])
+            by_id = dict(zip(all_ids.tolist(), all_scores.tolist()))
+            rows = np.sort(rng.choice(emb.shape[0], 300, replace=False))
+            got_ids, got_scores = verify(emb, ids, rows, q, rows.size)
+            assert sorted(got_ids.tolist()) == sorted(ids[rows].tolist())
+            assert got_scores.tolist() == [by_id[i] for i in got_ids.tolist()]
 
 
 def unit_rows(seed: int, n: int, d: int) -> np.ndarray:

@@ -7,11 +7,12 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.core_model import scans_whole
 from repro.core.lider import LIDER, LIDERConfig
 from repro.core.spark_build import build_lider_spark, cluster_with_spark_kmeans
 from repro.embeddings.datasets import corpus_to_spark
 from repro.oracle import assert_equivalent
-from tests.test_lider import assert_layout_views
+from tests.test_lider import WINDOWED_K, assert_layout_views
 
 CFG = LIDERConfig(c=8, c0=4)
 PARAMS = ("roots", "children")
@@ -84,6 +85,22 @@ class TestEndToEnd:
             ids_b, sc_b = dist.search(q, 30)
             assert np.array_equal(ids_a, ids_b)
             assert sc_a == pytest.approx(sc_b)
+
+    def test_spark_build_equals_driver_build_through_windows(
+        self, spark_built, corpus_small, clustered_small, queries_small
+    ):
+        """The same at a k where every probed cluster runs its windows."""
+        cents, assign = clustered_small
+        ids, dist = spark_built("permuted")
+        driver = LIDER(CFG).fit(corpus_small.emb, ids, assignments=assign, centroids=cents)
+        _, c0 = CFG.resolve(corpus_small.n)
+        for q in queries_small.emb:
+            probed, _ = driver.centroid_retriever.search(q, km=c0)
+            assert not scans_whole(CFG.h, CFG.r0 * WINDOWED_K, driver.sizes[probed]).any()
+            ids_a, sc_a = driver.search(q, WINDOWED_K)
+            ids_b, sc_b = dist.search(q, WINDOWED_K)
+            assert np.array_equal(ids_a, ids_b)
+            assert np.array_equal(sc_a, sc_b)
 
     def test_array_locations_match_duckdb_window_oracle(self, spark, spark_built):
         """Each stored location == DuckDB's ROW_NUMBER over (key, corpus row):

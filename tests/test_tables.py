@@ -5,6 +5,7 @@ import pytest
 
 from repro.bench.harness import LiderIndex, METHODS, build_method, evaluate
 from repro.bench.tables import format_rows, sweep_clustering, table2, table3, table4, table5
+from repro.core.core_model import scans_whole
 from repro.embeddings.datasets import dev_queries, load_dataset
 from tests.test_lider import BAD_SHAPE, bad_corpus
 
@@ -85,7 +86,10 @@ class TestTable2:
 
 class TestTable3:
     def test_rows_and_trend(self):
-        rows = table3(dataset="MSL-2k", h_values=(4, 16), n_queries=40, k=50)
+        """At k=10 both H run their windows: H=16 reaches 640 slots of
+        2000 rows, below α, so the expansion time is ESK-LSH's."""
+        assert not scans_whole(16, 4 * 10, 2000)
+        rows = table3(dataset="MSL-2k", h_values=(4, 16), n_queries=40, k=10)
         assert [r["H"] for r in rows] == [4, 16]
         # more arrays → better or equal quality (the Table-3 trend)
         assert rows[1]["mrr@10"] >= rows[0]["mrr@10"] - 0.02
