@@ -10,9 +10,10 @@ coverage ratio H·min(r0·k, n_j)/n_j over the probed (query, cluster) pairs,
 the windows' candidates per probed row, and each arm's MRR@10.
 
 The crossover of a load condition is the ratio where the whole scan's p50
-gain changes sign, linear between the two k it falls between. With
-``--stream N`` the sweep also runs with N background processes streaming
-memory (N ≤ 2), the condition ``GATE_ALPHA`` is set from:
+gain changes sign, linear between the two k it falls between. ``--stream``
+lists the conditions, each a number N ≤ 2 of background processes that
+stream memory while the sweep runs; ``GATE_ALPHA`` is the crossover with
+two:
 
     python jobs/gate_crossover.py --stream 0 2 --out results/gate_crossover.json
 """
@@ -37,7 +38,8 @@ from repro.metrics import mrr_at_k  # noqa: E402
 MAX_STREAMS = 2
 # Copies one 64 MB float64 array into another, forever: each pass reads and
 # writes far more than any cache holds, so it competes for memory bandwidth.
-STREAM = "import numpy as np\na = np.ones(8 << 20)\nb = np.empty_like(a)\nwhile True: np.copyto(b, a)\n"
+STREAM = ("import numpy as np\na = np.ones(8 << 20)\nb = np.empty_like(a)\n"
+          "while True: np.copyto(b, a)\n")
 ARMS = {"windowed": np.inf, "whole": 0.0}
 
 

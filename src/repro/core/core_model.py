@@ -9,6 +9,10 @@ A core model combines:
 Search (§3.3.1): query embedding → H query hashkeys → re-scaled RMI keys →
 RMI-predicted locations → bi-directional expansion windows of width
 R = r0·km on each array → union of candidates → exact scoring → top-km.
+Where the H windows would reach most of the collection (``scans_whole``:
+H·min(R, n) ≥ ``GATE_ALPHA``·n) the steps before scoring are skipped and
+every row is scored, which costs less than gathering most of them and
+returns a superset of the windows' candidates.
 
 The re-scaler is a min-max map (§5.1) and every RMI model is linear
 (§5.2), so each (re-scaler, model) pair is one affine map of the decimal
@@ -16,9 +20,10 @@ hashkey. ``fit_rmis`` fits every array's re-scaler and RMI from its
 sorted keys and collapses them at build time; the model then keeps only
 stacked (3, H) root and (3, H, W) child parameters.
 
-The search steps are module-level helpers — ``query_keys`` (hash at the
-shared tensor's full length, then shift), ``rmi_locations``,
-``window_union`` and ``verify`` — that take any number of clusters.
+The search steps are module-level helpers — ``scans_whole``,
+``query_keys`` (hash at the shared tensor's full length, then shift),
+``rmi_locations``, ``window_union`` and ``verify`` — that take any number
+of clusters.
 ``CoreModel`` search is their one-cluster case and ``LIDER.search`` runs
 them over all probed clusters at once, on its layout; ``LIDER.in_cluster``
 views a slice of it as a core model (``from_parts``, no stored keys).
@@ -35,9 +40,12 @@ from repro.lsh.projections import hyperplanes
 from repro.rmi.rmi import _BIG, LinearModel
 
 # Coverage share above which a probed cluster is scanned whole
-# (``scans_whole``): the crossover, on a loaded box, of windowed and
-# whole-cluster p50 over a k-sweep on MSL-200k at c=40, one BLAS thread
-# (``results/gate_crossover.json``, written by ``jobs/gate_crossover.py``).
+# (``scans_whole``): the crossover (0.5668) of windowed and whole-cluster
+# p50 over a k-sweep on MSL-200k at c=40, one BLAS thread, with two
+# memory-streaming processes running (``results/gate_crossover.json``,
+# written by ``jobs/gate_crossover.py``). The idle crossover is lower
+# (0.36), so where the gate wins loaded it also wins idle. Read at call
+# time: the job sets it to 0 or inf to force either path.
 GATE_ALPHA = 0.57
 
 

@@ -16,14 +16,19 @@ Build (staged as Table 5 reports; the paper's Stage 2, a learned
 
 Search: exact centroid scan → top-``c0`` clusters → one fused pass over
 the probed clusters on the stacked layout (§4.3: the IRs' arrays expand
-independently, so their work batches): hash once, predict every (cluster,
+independently, so their work batches). A probed cluster whose H windows
+of r0·k rows would reach most of it (``core_model.scans_whole``, α from
+``results/gate_crossover.json``) skips them and is verified whole, one
+einsum over its contiguous block: IVF-Flat's scan, a superset of the
+windows' candidates. Over the rest: hash once, predict every (cluster,
 array) location, gather every window with one ``np.take``, union per
-cluster, verify each cluster by exact cosine → merge → global top-k. Each
-step is a helper that ``CoreModel`` search runs as its one-cluster case,
-so the per-cluster calls return what the fused pass (``search_clusters``,
-which the Spark DataSource's reads run too) does. A per-query thread pool
-(§3.3.2's parallel retrieval) measured slower at this scale; the Spark
-DataSource likewise searches a query's probed clusters in one partition.
+cluster, verify by exact cosine. Then merge → global top-k. Each step is
+a helper that ``CoreModel`` search runs as its one-cluster case, under
+the same gate, so the per-cluster calls return what the fused pass
+(``search_clusters``, which the Spark DataSource's reads run too) does.
+A per-query thread pool (§3.3.2's parallel retrieval) measured slower at
+this scale; the Spark DataSource likewise searches a query's probed
+clusters in one partition.
 """
 from __future__ import annotations
 
@@ -336,9 +341,9 @@ class LIDER:
         clusters are skipped.
 
         Returns ``min(k, candidates)`` ids: the candidates are the rows the
-        probed clusters' windows reach, every row once r0·k covers a
-        cluster (e.g. k ≥ n). Raises ValueError for ``k < 1`` or a query
-        ``check_query`` rejects.
+        probed clusters' windows reach, and every row of a cluster scanned
+        whole (always so once r0·k covers it, e.g. k ≥ n). Raises
+        ValueError for ``k < 1`` or a query ``check_query`` rejects.
         """
         if self.centroids is None:
             raise RuntimeError("search before fit")

@@ -20,7 +20,9 @@ Read path (``spark.read.format("lider")``):
   Python task wave; one partition per probed cluster paid two waves on
   ``local[4]`` while each cluster's search took a few ms. The executor
   maps the arrays, runs ``LIDER.search_clusters`` — the pass
-  ``LIDER.search`` merges — and yields (id, cluster_id, score, rank) rows;
+  ``LIDER.search`` merges, which scans a probed cluster whole, one
+  contiguous block of the mapped ``emb.npy``, where its windows would
+  reach most of it — and yields (id, cluster_id, score, rank) rows;
   a plain ``ORDER BY score DESC LIMIT k`` in Catalyst merges the
   per-cluster top-k — LIDER's stage-3 heap merge expressed as a dataflow.
 * ``pushFilters`` additionally consumes ``cluster_id`` equality/IN filters

@@ -281,7 +281,7 @@ class TestSearch:
         ranked = [core_model_small.search(q, 30)[0] for q in queries_small.emb]
         assert recall_at_k(ranked, truth_small, 30) > 0.5
 
-    def test_whole_scan_is_exact(self, core_model_small, corpus_small, queries_small, truth_small):
+    def test_whole_scan_is_exact(self, core_model_small, queries_small, truth_small):
         """Above α the model is scanned whole: the exact top-k."""
         assert scans_whole(8, core_model_small.config.r0 * 100, 2000)
         for q, truth in zip(queries_small.emb, truth_small):

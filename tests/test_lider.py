@@ -8,8 +8,8 @@ from repro.core.core_model import CoreModel, scans_whole, top_k, verify
 from repro.core.lider import IN_CLUSTER_GROUP, LIDER, LIDERConfig, check_corpus, check_query
 from repro.embeddings.corpus import make_corpus
 from repro.lsh.esklsh import ESKLSH, window_union
-from repro.oracle import assert_equivalent
 from repro.metrics import mrr_at_k, recall_at_k
+from repro.oracle import assert_equivalent
 from tests.test_core_model import reference_fit
 
 
