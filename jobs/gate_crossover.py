@@ -33,7 +33,7 @@ import numpy as np  # noqa: E402
 from repro.core import core_model  # noqa: E402
 from repro.core.lider import LIDER, LIDERConfig  # noqa: E402
 from repro.embeddings.datasets import dev_queries, load_dataset  # noqa: E402
-from repro.metrics import mrr_at_k  # noqa: E402
+from repro.metrics import measure_aqt, mrr_at_k  # noqa: E402
 
 MAX_STREAMS = 2
 # Copies one 64 MB float64 array into another, forever: each pass reads and
@@ -54,18 +54,6 @@ def stop_streams(procs: list[subprocess.Popen]) -> None:
         p.terminate()
     for p in procs:
         p.wait(timeout=30)
-
-
-def timed_pass(lider: LIDER, queries: np.ndarray, k: int, alpha: float):
-    """(seconds per query, ranked ids) of one pass with the gate at ``alpha``."""
-    core_model.GATE_ALPHA = alpha
-    seconds, ranked = [], []
-    for q in queries:
-        t0 = time.perf_counter()
-        ids, _ = lider.search(q, k)
-        seconds.append(time.perf_counter() - t0)
-        ranked.append(ids.tolist())
-    return np.array(seconds), ranked
 
 
 def coverage(lider: LIDER, queries: np.ndarray, k: int) -> tuple[float, float]:
@@ -93,9 +81,10 @@ def sweep(lider, queries, relevant, ks, reps: int) -> list[dict]:
         for rep in range(reps):
             arms = list(ARMS) if rep % 2 == 0 else list(ARMS)[::-1]
             for arm in arms:
-                seconds, ranked = timed_pass(lider, queries, k, ARMS[arm])
+                core_model.GATE_ALPHA = ARMS[arm]
+                ranked, seconds = measure_aqt(lambda q: lider.search(q, k)[0], queries)
                 lat[arm].append(seconds)
-                mrr[arm] = mrr_at_k(ranked, relevant, 10)
+                mrr[arm] = mrr_at_k([r.tolist() for r in ranked], relevant, 10)
         row = {"k": k, "ratio": round(ratio, 4), "window_coverage": round(cov, 4)}
         for arm in ARMS:
             s = np.concatenate(lat[arm]) * 1e3

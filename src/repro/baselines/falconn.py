@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.baselines.base import ANNIndex
 from repro.core.core_model import top_k
-from repro.lsh.hashkeys import pack_bits
+from repro.lsh.hashkeys import hashkey_bits, pack_bits
 from repro.lsh.projections import hyperplanes
 
 
@@ -36,8 +36,7 @@ class MultiProbeLSHIndex(ANNIndex):
         n = emb.shape[0]
         self._set_ids(n, ids)
         self.emb = emb
-        m = self.m if self.m is not None else max(4, int(np.ceil(np.log2(max(n, 2)))))
-        self._m_bits = m
+        m = self._m_bits = self.m if self.m is not None else hashkey_bits(n)
         self.planes = hyperplanes(emb.shape[1], m, self.h, base_seed=self.seed, group=10_000)
         self.tables = []
         for planes in self.planes:

@@ -25,7 +25,7 @@ import numpy as np
 from repro.baselines.base import ANNIndex
 from repro.core.core_model import top_k
 from repro.lsh.esklsh import ESKLSH
-from repro.lsh.hashkeys import dist_original
+from repro.lsh.hashkeys import dist_original, hashkey_bits
 from repro.lsh.projections import hyperplanes
 
 
@@ -48,9 +48,7 @@ class SKLSHIndex(ANNIndex):
         n = emb.shape[0]
         self._set_ids(n, ids)
         self.emb = emb
-        self._m_bits = self.m if self.m is not None else max(
-            4, int(np.ceil(np.log2(max(n, 2))))
-        )
+        self._m_bits = self.m if self.m is not None else hashkey_bits(n)
         self.esklsh = ESKLSH(
             hyperplanes(emb.shape[1], self._m_bits, self.h, base_seed=self.seed, group=20_000)
         ).fit(emb)

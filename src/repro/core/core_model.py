@@ -30,12 +30,12 @@ views a slice of it as a core model (``from_parts``, no stored keys).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.lsh.esklsh import ESKLSH
+from repro.lsh.hashkeys import hashkey_bits
 from repro.lsh.projections import hyperplanes
 from repro.rmi.rmi import _BIG, LinearModel
 
@@ -47,6 +47,7 @@ from repro.rmi.rmi import _BIG, LinearModel
 # (0.36), so where the gate wins loaded it also wins idle. Read at call
 # time: the job sets it to 0 or inf to force either path.
 GATE_ALPHA = 0.57
+NORM_TOL = 1e-3  # largest |‖x‖ − 1| a query or corpus row may have
 
 
 @dataclass
@@ -69,7 +70,7 @@ class CoreModelConfig:
     group: int = 0
 
     def hashkey_bits(self, n: int) -> int:
-        return min(50, max(4, math.ceil(math.log2(max(n, 2))) + self.pad))
+        return hashkey_bits(n, self.pad)
 
     def hyperplanes(self, dim: int, n: int) -> np.ndarray:
         """(H, M, dim) planes of this config's seed group, M the hashkey
@@ -133,9 +134,31 @@ def fit_rmis(keys: np.ndarray, width: int, rescale: bool) -> tuple[np.ndarray, n
     return p[:, :, 0].copy(), p[:, :, 1:].copy()
 
 
+def check_query(q: np.ndarray, dim: int) -> np.ndarray:
+    """``q`` as a float32 vector; ValueError unless it has ``dim`` finite
+    values and unit norm (the rule of ``lider.check_corpus``)."""
+    q = np.asarray(q, dtype=np.float32)
+    if q.shape != (dim,):
+        raise ValueError(f"query has shape {q.shape}, expected ({dim},)")
+    if not np.isfinite(q).all():
+        raise ValueError("query has non-finite values")
+    norm = float(np.sqrt(q @ q))
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"query has norm {norm:.6g}; LIDER needs unit-norm queries")
+    return q
+
+
+def check_k(k: int) -> int:
+    """``k``; ValueError unless it is at least 1."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    return k
+
+
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the ``min(k, scores.size)`` largest scores, descending."""
-    kk = min(k, scores.size)
+    """Positions of the ``min(k, scores.size)`` largest scores, descending;
+    ValueError for ``k < 1``."""
+    kk = min(check_k(k), scores.size)
     if kk == 0:
         return np.empty(0, dtype=np.int64)
     top = np.argpartition(-scores, kk - 1)[:kk]
@@ -262,16 +285,18 @@ class CoreModel:
         return ESKLSH(planes, m)
 
     # ----------------------------------------------------------------- search
+    # The search calls raise ValueError for a query ``check_query`` rejects
+    # and for ``km < 1``.
     def predict_locations(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(H,) query hashkeys and (H,) RMI-predicted locations in [0, L−1]."""
-        q_keys = self.esklsh.query_keys(q)
+        q_keys = self.esklsh.query_keys(check_query(q, self.emb.shape[1]))
         return q_keys, rmi_locations(self.roots, self.children, float(self.n), q_keys)
 
     def _windows(self, q: np.ndarray, km: int) -> np.ndarray | None:
         """Steps 1–4 of the core-model search: hash, predict, expand, union;
         None, with no step run, where the model is scanned whole
-        (:func:`scans_whole`)."""
-        r = self.config.r0 * km
+        (:func:`scans_whole`). Checks ``q`` and ``km``."""
+        q, r = check_query(q, self.emb.shape[1]), self.config.r0 * check_k(km)
         if scans_whole(self.config.h, r, self.n):
             return None
         _, locs = self.predict_locations(q)
@@ -285,8 +310,9 @@ class CoreModel:
 
     def search(self, q: np.ndarray, km: int) -> tuple[np.ndarray, np.ndarray]:
         """Top-km (external ids, cosine scores), scores descending."""
+        rows = self._windows(q, km)
         q = np.asarray(q, dtype=np.float32)
-        return verify(self.emb, self.ids, self._windows(q, km), q, km)
+        return verify(self.emb, self.ids, rows, q, km)
 
     # ------------------------------------------------------------------ stats
     @property

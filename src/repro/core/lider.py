@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.core_model import (
-    CoreModel, CoreModelConfig, rmi_locations, scans_whole, top_k, verify,
+    NORM_TOL, CoreModel, CoreModelConfig, check_k, check_query, rmi_locations, scans_whole,
+    top_k, verify,
 )
 from repro.core.kmeans import spherical_kmeans
 from repro.lsh.esklsh import query_keys, window_union
@@ -50,23 +51,9 @@ CENTROID_GROUP = -1  # seed group of the paper's learned CR (Table-5 ablation on
 # the largest cluster's hashkey length M (``LIDER.planes``), serves every
 # cluster through a ``[:, :M_j]`` view — counted once in the memory footprint.
 IN_CLUSTER_GROUP = 0
-
-
-NORM_TOL = 1e-3  # largest |‖x‖ − 1| a query or corpus row may have
-
-
-def check_query(q: np.ndarray, dim: int) -> np.ndarray:
-    """``q`` as a float32 vector; ValueError unless it has ``dim`` finite
-    values and unit norm (the rule of :func:`check_corpus`)."""
-    q = np.asarray(q, dtype=np.float32)
-    if q.shape != (dim,):
-        raise ValueError(f"query has shape {q.shape}, expected ({dim},)")
-    if not np.isfinite(q).all():
-        raise ValueError("query has non-finite values")
-    norm = float(np.sqrt(q @ q))
-    if abs(norm - 1.0) > NORM_TOL:
-        raise ValueError(f"query has norm {norm:.6g}; LIDER needs unit-norm queries")
-    return q
+# Vectors per cluster when ``LIDERConfig.c`` is None (the paper's 8.8k,
+# scaled down with the corpus; see ``LIDERConfig``).
+TARGET_CLUSTER_SIZE = 500
 
 
 def check_corpus(emb: np.ndarray, ids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -154,9 +141,8 @@ class LIDERConfig:
     default to ~500-vector clusters and keep the paper's c0/c ≈ 1/50.
     """
 
-    c: int | None = None  # clusters; None → n // target_cluster_size
+    c: int | None = None  # clusters; None → n // TARGET_CLUSTER_SIZE
     c0: int | None = None  # retrieved centroids; None → max(8, c // 50)
-    target_cluster_size: int = 500
     h: int = 10
     w_centroids: int = 10
     w_incluster: int = 5
@@ -168,13 +154,13 @@ class LIDERConfig:
     kmeans_iters: int = 20
 
     def __post_init__(self):
-        for name in ("c", "c0", "target_cluster_size", "h", "w_incluster", "r0"):
+        for name in ("c", "c0", "h", "w_incluster", "r0"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"LIDERConfig.{name} must be at least 1, got {value}")
 
     def resolve(self, n: int) -> tuple[int, int]:
-        c = self.c if self.c is not None else max(4, min(n, n // self.target_cluster_size))
+        c = self.c if self.c is not None else max(4, min(n, n // TARGET_CLUSTER_SIZE))
         c = max(1, min(c, n))
         # The paper uses c0/c = 1/50 at c=1000; at our compressed cluster
         # counts a floor of 8 keeps the probed fraction high enough for the
@@ -347,8 +333,7 @@ class LIDER:
         """
         if self.centroids is None:
             raise RuntimeError("search before fit")
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
+        check_k(k)
         q = check_query(q, self.centroids.shape[1])
         _, c0 = self.config.resolve(self.assignments.shape[0])
         probed, _ = self.centroid_retriever.search(q, km=c0)

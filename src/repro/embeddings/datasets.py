@@ -108,14 +108,13 @@ def nq_queries(corpus: EmbeddingCorpus, n_queries: int = 200, seed: int = 29) ->
 
 
 def corpus_to_pandas(corpus: EmbeddingCorpus) -> pd.DataFrame:
-    """Corpus as a pandas frame: id, emb as list<float>."""
-    pdf = pd.DataFrame({"id": corpus.ids.astype(np.int64)})
-    pdf["emb"] = list(corpus.emb.astype(np.float32))
-    return pdf
+    """Corpus as a pandas frame: id, and emb as one list of Python floats
+    per row, which ``createDataFrame`` takes with Arrow on or off (an
+    ndarray element it rejects without Arrow)."""
+    return pd.DataFrame({"id": corpus.ids.astype(np.int64),
+                         "emb": corpus.emb.astype(np.float32).tolist()})
 
 
 def corpus_to_spark(spark: SparkSession, corpus: EmbeddingCorpus) -> DataFrame:
     """Corpus as a Spark DataFrame (id BIGINT, emb ARRAY<FLOAT>)."""
-    pdf = corpus_to_pandas(corpus)
-    pdf = pdf.assign(emb=pdf["emb"].map(lambda a: [float(x) for x in a]))
-    return spark.createDataFrame(pdf, schema="id long, emb array<float>")
+    return spark.createDataFrame(corpus_to_pandas(corpus), schema="id long, emb array<float>")

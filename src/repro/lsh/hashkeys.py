@@ -34,6 +34,13 @@ def key_length_check(m: int) -> int:
     return m
 
 
+def hashkey_bits(n: int, pad: int = 0) -> int:
+    """Hashkey length for ``n`` vectors: ⌈log2 n⌉ bits (at least 4) plus
+    ``pad`` (§5.1: long enough to avoid duplicate keys), capped at
+    ``MAX_BITS``. ⌈log2 n⌉ is taken in integers, as ``(n − 1).bit_length()``."""
+    return min(MAX_BITS, max(4, (max(int(n), 2) - 1).bit_length() + pad))
+
+
 def pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack a (n, M) boolean/0-1 array into (n,) uint64 keys, MSB-first.
 

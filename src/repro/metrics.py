@@ -79,19 +79,19 @@ def recall_at_k(ranked_ids: Sequence[Sequence[int]], truth_ids: Sequence[Sequenc
 
 def measure_aqt(
     search_one: Callable[[np.ndarray], Sequence[int]], queries: np.ndarray
-) -> tuple[list, float, float]:
-    """Run ``search_one`` per query, timing each call; return (ranked lists,
-    mean seconds/query, median seconds/query).
+) -> tuple[list, np.ndarray]:
+    """Run ``search_one`` per query, timing each call; return (results,
+    seconds per query), one entry each per query.
 
-    The mean mirrors the paper's AQT: pure ANN search time, measured per
-    query after the embeddings already exist (no model inference included).
-    The median is less moved by a single preempted query.
+    Every query timing of the evaluation is taken here, and each caller
+    takes its statistics from the one array: the mean is the paper's AQT,
+    pure ANN search time measured after the embeddings already exist (no
+    model inference included); the median is less moved by a single
+    preempted query.
     """
     results, seconds = [], []
     for q in queries:
         t0 = time.perf_counter()
         results.append(search_one(q))
         seconds.append(time.perf_counter() - t0)
-    if not seconds:
-        return results, 0.0, 0.0
-    return results, float(np.mean(seconds)), float(np.median(seconds))
+    return results, np.array(seconds)

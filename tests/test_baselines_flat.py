@@ -21,6 +21,11 @@ class TestFlat:
         got = idx.search(corpus_small.emb[5], 1)
         assert got[0] == 10
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_raises(self, corpus_small, queries_small, k):
+        with pytest.raises(ValueError, match="k must be"):
+            FlatIndex().fit(corpus_small.emb).search(queries_small.emb[0], k)
+
     def test_k_larger_than_corpus(self):
         emb = np.eye(4, dtype=np.float32)
         idx = FlatIndex().fit(emb)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.sklsh import SKLSHIndex
-from repro.core.core_model import CoreModel, CoreModelConfig, scans_whole
+from repro.core.core_model import CoreModel, CoreModelConfig, scans_whole, top_k
 from repro.embeddings.corpus import make_corpus
 from repro.lsh.esklsh import ESKLSH
 from repro.metrics import recall_at_k
@@ -309,6 +309,61 @@ class TestSearch:
         r_few = recall_at_k([few.search(q, 10)[0] for q in queries_small.emb], truth_small, 10)
         r_many = recall_at_k([many.search(q, 10)[0] for q in queries_small.emb], truth_small, 10)
         assert r_many >= r_few
+
+
+def bad_query(case: str, q: np.ndarray) -> np.ndarray:
+    """A copy of the unit query ``q`` with one defect ``check_query`` rejects."""
+    q = q.copy()
+    if case == "nan":
+        q[3] = np.nan
+    elif case == "inf":
+        q[3] = np.inf
+    elif case == "off_norm":
+        q *= 100
+    else:
+        q = q[:-1]
+    return q
+
+
+class TestInputChecks:
+    """A standalone model and a LIDER view (whose 250-row clusters are
+    scanned whole at k=10, so no window step runs) reject bad queries and
+    k < 1 at every search call."""
+
+    @pytest.fixture(params=["standalone", "view"])
+    def model(self, request, core_model_small, lider_small):
+        if request.param == "standalone":
+            model = core_model_small
+        else:
+            model = lider_small.in_cluster[next(iter(lider_small.in_cluster))]
+        whole = scans_whole(model.config.h, model.config.r0 * 10, model.n)
+        assert whole == (request.param == "view")
+        return model
+
+    @pytest.mark.parametrize("case, match", [
+        ("nan", "non-finite"), ("inf", "non-finite"), ("off_norm", "norm"), ("short", "shape"),
+    ])
+    def test_bad_query_raises(self, model, queries_small, case, match):
+        q = bad_query(case, queries_small.emb[0])
+        for call in (lambda: model.search(q, 10), lambda: model.candidate_rows(q, 10),
+                     lambda: model.predict_locations(q)):
+            with pytest.raises(ValueError, match=match):
+                call()
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_raises(self, model, queries_small, k):
+        for call in (model.search, model.candidate_rows):
+            with pytest.raises(ValueError, match="k must be"):
+                call(queries_small.emb[0], k)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_top_k_below_one_raises(self, k):
+        with pytest.raises(ValueError, match="k must be"):
+            top_k(np.arange(10.0), k)
+
+    def test_top_k_of_no_scores_is_empty(self):
+        assert top_k(np.empty(0), 5).size == 0
+        assert top_k(np.arange(10.0), 3).tolist() == [9, 8, 7]
 
 
 class TestStats:

@@ -71,12 +71,21 @@ class TestSparkIO:
         assert list(pdf.columns) == ["id", "emb"] and len(pdf) == corpus_small.n
 
     def test_spark_round_trip(self, spark, corpus_small):
-        pdf = corpus_to_spark(spark, corpus_small).toPandas()
-        ids = pdf["id"].to_numpy(dtype=np.int64)
-        mat = np.vstack(pdf["emb"].map(np.asarray).to_numpy()).astype(np.float32)
-        order = np.argsort(ids)
-        assert np.array_equal(ids[order], corpus_small.ids)
-        assert np.allclose(mat[order], corpus_small.emb, atol=1e-6)
+        """The corpus comes back from Spark with Arrow on and with it off
+        (``createDataFrame`` takes no ndarray rows without Arrow)."""
+        key = "spark.sql.execution.arrow.pyspark.enabled"
+        before = spark.conf.get(key)
+        try:
+            for arrow in ("true", "false"):
+                spark.conf.set(key, arrow)
+                pdf = corpus_to_spark(spark, corpus_small).toPandas()
+                ids = pdf["id"].to_numpy(dtype=np.int64)
+                mat = np.vstack(pdf["emb"].map(np.asarray).to_numpy()).astype(np.float32)
+                order = np.argsort(ids)
+                assert np.array_equal(ids[order], corpus_small.ids), arrow
+                assert np.allclose(mat[order], corpus_small.emb, atol=1e-6), arrow
+        finally:
+            spark.conf.set(key, before)
 
     def test_spark_schema(self, spark, corpus_small):
         df = corpus_to_spark(spark, corpus_small)

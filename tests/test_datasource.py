@@ -52,7 +52,7 @@ class TestLayout:
         save_lider_index(lider, str(tmp_path / "old"))
         assert set(os.listdir(tmp_path / "old")) == {"index", "notes.txt"}
 
-    def test_pickles_are_embedding_free(self, saved_index):
+    def test_only_emb_holds_the_embeddings(self, saved_index):
         """Every index file is the manifest or an array that loads without
         pickle, and only ``emb.npy`` holds (n, d) float rows: the
         embeddings are stored once."""
@@ -69,7 +69,7 @@ class TestLayout:
                 with_rows.append(name)
         assert with_rows == ["emb.npy"]
 
-    def test_cluster_pickle_holds_only_its_slice(self, saved_index):
+    def test_arrays_equal_the_layout(self, saved_index):
         """The saved arrays are the in-memory layout's, dtype included."""
         path, lider = saved_index
         for name in ARRAYS:

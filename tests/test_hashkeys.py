@@ -1,13 +1,18 @@
 """Tests for hashkey packing and the (extended) hashkey distances (§4.2),
 including property tests of Lemmas 4.3/4.4 on the SK-LSH linear order."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines import MultiProbeLSHIndex, SKLSHIndex
+from repro.core.core_model import CoreModelConfig
 from repro.lsh.hashkeys import (
     MAX_BITS,
     dist_extended,
     dist_original,
+    hashkey_bits,
     kd_extended,
     kd_original,
     key_length_check,
@@ -209,3 +214,16 @@ class TestLinearOrderLemmas:
             dist_original(keys[2:3], keys[0:1], m)[0]
             >= dist_original(keys[1:2], keys[0:1], m)[0]
         )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 2**20 + 1])
+def test_hashkey_bits_is_one_rule(n):
+    """The core model and the SK-LSH and FALCONN baselines take their key
+    length from ``hashkey_bits``, which equals the float rule each of them
+    wrote out before."""
+    for pad in (0, 4, 16, 40):
+        want = min(MAX_BITS, max(4, math.ceil(math.log2(max(n, 2))) + pad))
+        assert hashkey_bits(n, pad) == CoreModelConfig(pad=pad).hashkey_bits(n) == want
+    emb = np.ones((n, 1), dtype=np.float32)
+    assert SKLSHIndex(h=1).fit(emb)._m_bits == hashkey_bits(n)
+    assert MultiProbeLSHIndex(h=1).fit(emb)._m_bits == hashkey_bits(n)

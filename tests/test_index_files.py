@@ -33,8 +33,8 @@ def _reader(path: str, query=None) -> LiderReader:
     return LiderReader(opts)
 
 
-class TestClusterEmbeddings:
-    def test_rows_align_to_requested_ids(self, saved):
+class TestSavedArrays:
+    def test_emb_holds_each_cluster_slice(self, saved):
         """Each cluster's slice of the saved ``emb.npy`` is its rows of the
         in-memory layout, as float32."""
         path, lider = saved

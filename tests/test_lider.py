@@ -114,7 +114,7 @@ class TestConfigResolve:
         assert 1 <= c0 <= c <= 50
 
     @pytest.mark.parametrize("value", [0, -3])
-    @pytest.mark.parametrize("name", ["c", "c0", "r0", "h", "w_incluster", "target_cluster_size"])
+    @pytest.mark.parametrize("name", ["c", "c0", "r0", "h", "w_incluster"])
     def test_below_one_raises(self, name, value):
         """A count below 1 is rejected, not clamped (c) or turned into an
         empty probe (c0=0), a negative top-k (c0<0) or width-1 windows (r0)."""
