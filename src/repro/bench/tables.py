@@ -61,7 +61,7 @@ def table2(
     """
     ms_datasets = DEFAULT_MS_DATASETS if ms_datasets is None else ms_datasets
     methods = ALL_METHODS if methods is None else methods
-    # (dataset, [(column, query-set maker, queries, metric)])
+    # (dataset, [(column, query-set maker, query count, metric)])
     ms_tasks = [("dev_mrr@10", dev_queries, n_dev, "mrr"),
                 ("trec_ndcg@10", trec_queries, n_trec, "ndcg")]
     runs = [(ds, ms_tasks) for ds in ms_datasets]

@@ -35,8 +35,8 @@ def key_length_check(m: int) -> int:
 
 
 def hashkey_bits(n: int, pad: int = 0) -> int:
-    """Hashkey length for ``n`` vectors: ⌈log2 n⌉ bits (at least 4) plus
-    ``pad`` (§5.1: long enough to avoid duplicate keys), capped at
+    """Hashkey length for ``n`` vectors: ⌈log2 n⌉ + ``pad`` bits (§5.1:
+    long enough to avoid duplicate keys), at least 4 and at most
     ``MAX_BITS``. ⌈log2 n⌉ is taken in integers, as ``(n − 1).bit_length()``."""
     return min(MAX_BITS, max(4, (max(int(n), 2) - 1).bit_length() + pad))
 
