@@ -21,10 +21,9 @@ class MultiProbeLSHIndex(ANNIndex):
 
     name = "FALCONN"
 
-    def __init__(self, h: int = 24, m: int | None = None, n_probes: int = 8, seed: int = 1234):
+    def __init__(self, h: int = 24, n_probes: int = 8, seed: int = 1234):
         super().__init__()
         self.h = h
-        self.m = m  # None → ceil(log2 N), the paper's setting
         self.n_probes = max(1, n_probes)
         self.seed = seed
         self.tables: list[dict[int, np.ndarray]] = []
@@ -36,7 +35,7 @@ class MultiProbeLSHIndex(ANNIndex):
         n = emb.shape[0]
         self._set_ids(n, ids)
         self.emb = emb
-        m = self._m_bits = self.m if self.m is not None else hashkey_bits(n)
+        m = self._m_bits = hashkey_bits(n)  # ceil(log2 N), the paper's setting
         self.planes = hyperplanes(emb.shape[1], m, self.h, base_seed=self.seed, group=10_000)
         self.tables = []
         for planes in self.planes:

@@ -21,6 +21,10 @@ from repro.baselines.pq import _PQCodec
 from repro.core.core_model import top_k
 from repro.core.kmeans import spherical_kmeans
 
+# IVFPQ-HNSW's graph: the paper's neighbours per node and search depth.
+HNSW_M = 32
+HNSW_EF = 32
+
 
 class IVFPQIndex(ANNIndex):
     """Classic IVFADC with a brute-force coarse quantizer."""
@@ -98,27 +102,18 @@ class IVFPQIndex(ANNIndex):
 class IVFPQHNSWIndex(IVFPQIndex):
     """IVFADC whose probe-list selection runs through an HNSW graph.
 
-    Paper settings: HNSW neighbors-per-node and search depth both 32.
+    Paper settings: ``HNSW_M`` neighbours per node, search depth ``HNSW_EF``.
     """
 
     name = "IVFPQ-HNSW"
-
-    def __init__(
-        self, m: int = 16, b: int = 8, p: int = 20, c: int | None = None,
-        seed: int = 0, hnsw_m: int = 32, hnsw_ef: int = 32,
-    ):
-        super().__init__(m, b, p, c, seed)
-        self.hnsw_m = hnsw_m
-        self.hnsw_ef = hnsw_ef
-        self.hnsw: HNSW | None = None
+    hnsw: HNSW | None = None
 
     def _post_fit(self, emb: np.ndarray) -> None:
-        self.hnsw = HNSW(m=self.hnsw_m, ef_construction=max(self.hnsw_ef, 64),
+        self.hnsw = HNSW(m=HNSW_M, ef_construction=max(HNSW_EF, 64),
                          seed=self.seed + 31).fit(self.centroids)
 
     def _probe_lists(self, q: np.ndarray, p: int) -> np.ndarray:
-        return self.hnsw.search(q, min(p, self.centroids.shape[0]),
-                                ef=max(self.hnsw_ef, p))
+        return self.hnsw.search(q, min(p, self.centroids.shape[0]), ef=max(HNSW_EF, p))
 
     @property
     def nbytes(self) -> int:

@@ -18,16 +18,20 @@ from repro.baselines.base import ANNIndex
 from repro.core.core_model import top_k
 
 
-def segment_kmeans(
-    x: np.ndarray, k: int, *, n_iter: int = 8, seed: int = 0, sample_cap: int = 20_000
-) -> np.ndarray:
+# Each PQ codebook: Lloyd iterations, on at most this many training rows.
+SEGMENT_ITERS = 8
+SEGMENT_SAMPLE_CAP = 20_000
+
+
+def segment_kmeans(x: np.ndarray, k: int, *, seed: int = 0) -> np.ndarray:
     """Plain L2 Lloyd's k-means for one PQ segment → (k, d_seg) codebook."""
     x = np.asarray(x, dtype=np.float32)
     g = np.random.default_rng(seed)
-    train = x if x.shape[0] <= sample_cap else x[g.choice(x.shape[0], sample_cap, replace=False)]
+    cap = SEGMENT_SAMPLE_CAP
+    train = x if x.shape[0] <= cap else x[g.choice(x.shape[0], cap, replace=False)]
     k = min(k, train.shape[0])
     cb = train[g.choice(train.shape[0], k, replace=False)].copy()
-    for _ in range(n_iter):
+    for _ in range(SEGMENT_ITERS):
         # argmin |x-c|^2 == argmin (|c|^2 - 2 x·c); |x|^2 is constant per row.
         d2 = -2.0 * train @ cb.T + (cb**2).sum(1)[None, :]
         labels = np.argmin(d2, axis=1)

@@ -25,6 +25,8 @@ from repro.core.lider import LIDER, LIDERConfig, check_corpus
 from repro.embeddings.corpus import QuerySet
 from repro.metrics import measure_aqt, mrr_at_k, ndcg_at_k
 
+METRIC_K = 10  # quality is MRR@10 or NDCG@10, as in the paper
+
 
 class LiderIndex(ANNIndex):
     """ANNIndex adapter around the two-layer LIDER."""
@@ -81,18 +83,17 @@ def evaluate(
     *,
     k: int = 100,
     metric: str = "mrr",
-    metric_k: int = 10,
 ) -> tuple[float, float, float]:
     """(quality, AQT seconds, median seconds per query) on one query
     workload. k=100 retrieved as in the paper; quality measured @10."""
     ranked, seconds = measure_aqt(lambda q: index.search(q, k), queries.emb)
     ranked = [list(map(int, r)) for r in ranked]
     if metric == "mrr":
-        quality = mrr_at_k(ranked, queries.relevant, metric_k)
+        quality = mrr_at_k(ranked, queries.relevant, METRIC_K)
     elif metric == "ndcg":
         if queries.qrels is None:
             raise ValueError("ndcg needs graded qrels (make_queries(graded=True))")
-        quality = ndcg_at_k(ranked, queries.qrels, metric_k)
+        quality = ndcg_at_k(ranked, queries.qrels, METRIC_K)
     else:
         raise ValueError(f"unknown metric {metric!r}")
     return quality, float(np.mean(seconds)), float(np.median(seconds))

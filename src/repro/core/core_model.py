@@ -21,9 +21,8 @@ sorted keys and collapses them at build time; the model then keeps only
 stacked (3, H) root and (3, H, W) child parameters.
 
 The search steps are module-level helpers — ``scans_whole``,
-``query_keys`` (hash at the shared tensor's full length, then shift),
-``rmi_locations``, ``window_union`` and ``verify`` — that take any number
-of clusters.
+``query_keys``, ``rmi_locations``, ``window_union`` and ``verify`` — that
+take any number of clusters.
 ``CoreModel`` search is their one-cluster case and ``LIDER.search`` runs
 them over all probed clusters at once, on its layout; ``LIDER.in_cluster``
 views a slice of it as a core model (``from_parts``, no stored keys).
@@ -74,8 +73,7 @@ class CoreModelConfig:
 
     def hyperplanes(self, dim: int, n: int) -> np.ndarray:
         """(H, M, dim) planes of this config's seed group, M the hashkey
-        length of ``n`` vectors; a model over fewer vectors in the same
-        group hashes with a ``[:, :M]`` view of them."""
+        length of ``n`` vectors."""
         return hyperplanes(
             dim, self.hashkey_bits(n), self.h, base_seed=self.base_seed, group=self.group
         )
@@ -134,9 +132,39 @@ def fit_rmis(keys: np.ndarray, width: int, rescale: bool) -> tuple[np.ndarray, n
     return p[:, :, 0].copy(), p[:, :, 1:].copy()
 
 
+def check_corpus(emb: np.ndarray, ids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``emb`` as contiguous float32 rows and ``ids`` as int64 (row positions
+    when None); ValueError for a corpus that is not a non-empty (n, d)
+    array, non-finite rows, rows off unit norm, ids that do not align with
+    the rows, or duplicate ids.
+
+    Unit norm: LIDER scores by inner product and calls it cosine, which
+    holds only for unit vectors, so every corpus row and every query
+    (:func:`check_query`) must have ``|‖x‖ − 1| ≤ NORM_TOL``. Inputs are
+    rejected, not normalised: a non-unit vector is a caller's bug, and a
+    silent fix would hide it.
+    """
+    emb = np.ascontiguousarray(emb, dtype=np.float32)
+    if emb.ndim != 2 or 0 in emb.shape:
+        raise ValueError(f"corpus has shape {emb.shape}, expected a non-empty (n, d) array")
+    n = emb.shape[0]
+    ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, np.int64)
+    if ids.shape != (n,):
+        raise ValueError(f"ids have shape {ids.shape}, expected ({n},) to align with the rows")
+    bad = np.flatnonzero(~np.isfinite(emb).all(axis=1))
+    if bad.size:
+        raise ValueError(f"corpus rows {bad[:5].tolist()} have non-finite values")
+    bad = np.flatnonzero(np.abs(np.sqrt(np.einsum("ij,ij->i", emb, emb)) - 1.0) > NORM_TOL)
+    if bad.size:
+        raise ValueError(f"corpus rows {bad[:5].tolist()} are not unit-norm")
+    if np.unique(ids).size != n:
+        raise ValueError("corpus ids are not unique")
+    return emb, ids
+
+
 def check_query(q: np.ndarray, dim: int) -> np.ndarray:
     """``q`` as a float32 vector; ValueError unless it has ``dim`` finite
-    values and unit norm (the rule of ``lider.check_corpus``)."""
+    values and unit norm (the rule of :func:`check_corpus`)."""
     q = np.asarray(q, dtype=np.float32)
     if q.shape != (dim,):
         raise ValueError(f"query has shape {q.shape}, expected ({dim},)")
@@ -227,23 +255,19 @@ class CoreModel:
         *,
         planes: np.ndarray | None = None,
     ) -> "CoreModel":
-        """Build over ``emb``: sort its H hashkey arrays (``ESKLSH.fit``),
-        then fit their folded RMIs from the sorted keys (:func:`fit_rmis`).
-        ``planes`` is a longer tensor of this config's seed group to hash
-        with the first bits of (LIDER's shared in-cluster planes); without
-        it the model draws its own."""
-        emb = np.ascontiguousarray(emb, dtype=np.float32)
-        n = emb.shape[0]
-        if n == 0:
-            raise ValueError("cannot index an empty collection")
-        self.emb = emb
-        self.ids = (
-            np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
-        )
-        if self.ids.shape[0] != n:
-            raise ValueError("ids must align with embeddings")
+        """Build over a corpus :func:`check_corpus` accepts: sort its H
+        hashkey arrays (``ESKLSH.fit``), then fit their folded RMIs from the
+        sorted keys (:func:`fit_rmis`). ``planes`` is a tensor to hash with
+        (LIDER's shared in-cluster planes); without it the model draws its
+        own."""
+        return self._fit(*check_corpus(emb, ids), planes)
+
+    def _fit(self, emb: np.ndarray, ids: np.ndarray, planes: np.ndarray | None) -> "CoreModel":
+        """:meth:`fit` over the float32 rows and int64 ids of a corpus that
+        :func:`check_corpus` has accepted (LIDER's clusters are slices of one)."""
         cfg = self.config
-        self.esklsh = self._esklsh(emb.shape[1], n, planes).fit(emb)
+        self.emb, self.ids = emb, ids
+        self.esklsh = self._esklsh(emb.shape[1], emb.shape[0], planes).fit(emb)
         self.roots, self.children = fit_rmis(self.esklsh.keys, cfg.width, cfg.rescale)
         return self
 
@@ -261,8 +285,8 @@ class CoreModel:
     ) -> "CoreModel":
         """Assemble a core model from externally built (H, n) sorted rows and
         their (3, H) / (3, H, W) folded RMI parameters (e.g. views of a LIDER
-        layout); ``planes`` as in :meth:`fit`. Its sorted keys are derived
-        from ``emb`` and ``rows`` when first read."""
+        layout), hashing with ``planes`` as :meth:`fit` does. Its sorted keys
+        are derived from ``emb`` and ``rows`` when first read."""
         cm = cls(config)
         cm.emb = np.ascontiguousarray(emb, dtype=np.float32)
         cm.ids = np.asarray(ids, dtype=np.int64)
@@ -272,47 +296,49 @@ class CoreModel:
         return cm
 
     def _esklsh(self, dim: int, n: int, planes: np.ndarray | None) -> ESKLSH:
-        """The ESK-LSH module that hashes ``n`` vectors with the first M bits
-        of ``planes``, or with its own planes when ``planes`` is None."""
-        m = self.config.hashkey_bits(n)
+        """The ESK-LSH module that hashes ``n`` vectors with every bit of
+        ``planes``, or with its own planes when ``planes`` is None."""
         if planes is None:
             return ESKLSH(self.config.hyperplanes(dim, n))
+        m = self.config.hashkey_bits(n)
         if planes.shape[0] != self.config.h or planes.shape[1] < m or planes.shape[2] != dim:
             raise ValueError(
                 f"planes of shape {planes.shape} cannot hash with H={self.config.h}, "
                 f"M={m}, dim={dim}"
             )
-        return ESKLSH(planes, m)
+        return ESKLSH(planes)
 
     # ----------------------------------------------------------------- search
     # The search calls raise ValueError for a query ``check_query`` rejects
-    # and for ``km < 1``.
+    # and for ``km < 1``. Each checks ``q`` once; the steps they share take
+    # the checked vector.
     def predict_locations(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(H,) query hashkeys and (H,) RMI-predicted locations in [0, L−1]."""
-        q_keys = self.esklsh.query_keys(check_query(q, self.emb.shape[1]))
+        return self._locations(check_query(q, self.emb.shape[1]))
+
+    def _locations(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q_keys = self.esklsh.query_keys(q)
         return q_keys, rmi_locations(self.roots, self.children, float(self.n), q_keys)
 
     def _windows(self, q: np.ndarray, km: int) -> np.ndarray | None:
-        """Steps 1–4 of the core-model search: hash, predict, expand, union;
-        None, with no step run, where the model is scanned whole
-        (:func:`scans_whole`). Checks ``q`` and ``km``."""
-        q, r = check_query(q, self.emb.shape[1]), self.config.r0 * check_k(km)
+        """Steps 1–4 of the core-model search on a checked ``q``: hash,
+        predict, expand, union; None, with no step run, where the model is
+        scanned whole (:func:`scans_whole`). Checks ``km``."""
+        r = self.config.r0 * check_k(km)
         if scans_whole(self.config.h, r, self.n):
             return None
-        _, locs = self.predict_locations(q)
-        return self.esklsh.candidate_rows(locs, r)
+        return self.esklsh.candidate_rows(self._locations(q)[1], r)
 
     def candidate_rows(self, q: np.ndarray, km: int) -> np.ndarray:
         """The rows :meth:`search` verifies: the windows' union, or every
         row of a model scanned whole."""
-        rows = self._windows(q, km)
+        rows = self._windows(check_query(q, self.emb.shape[1]), km)
         return np.arange(self.n) if rows is None else rows
 
     def search(self, q: np.ndarray, km: int) -> tuple[np.ndarray, np.ndarray]:
         """Top-km (external ids, cosine scores), scores descending."""
-        rows = self._windows(q, km)
-        q = np.asarray(q, dtype=np.float32)
-        return verify(self.emb, self.ids, rows, q, km)
+        q = check_query(q, self.emb.shape[1])
+        return verify(self.emb, self.ids, self._windows(q, km), q, km)
 
     # ------------------------------------------------------------------ stats
     @property

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.core_model import (
-    NORM_TOL, CoreModel, CoreModelConfig, check_k, check_query, rmi_locations, scans_whole,
-    top_k, verify,
+    NORM_TOL, CoreModel, CoreModelConfig, check_corpus, check_k, check_query, rmi_locations,
+    scans_whole, top_k, verify,
 )
 from repro.core.kmeans import spherical_kmeans
 from repro.lsh.esklsh import query_keys, window_union
@@ -48,42 +48,12 @@ from repro.lsh.esklsh import query_keys, window_union
 CENTROID_GROUP = -1  # seed group of the paper's learned CR (Table-5 ablation only)
 # All in-cluster retrievers share one projection-seed group: clusters index
 # disjoint data, so one (H, M, d) hyperplane tensor, drawn once per index at
-# the largest cluster's hashkey length M (``LIDER.planes``), serves every
-# cluster through a ``[:, :M_j]`` view — counted once in the memory footprint.
+# the largest cluster's hashkey length M (``LIDER.planes``), hashes every
+# cluster with all M bits — counted once in the memory footprint.
 IN_CLUSTER_GROUP = 0
 # Vectors per cluster when ``LIDERConfig.c`` is None (the paper's 8.8k,
 # scaled down with the corpus; see ``LIDERConfig``).
 TARGET_CLUSTER_SIZE = 500
-
-
-def check_corpus(emb: np.ndarray, ids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``emb`` as contiguous float32 rows and ``ids`` as int64 (row positions
-    when None); ValueError for a corpus that is not a non-empty (n, d)
-    array, non-finite rows, rows off unit norm, ids that do not align with
-    the rows, or duplicate ids.
-
-    Unit norm: LIDER scores by inner product and calls it cosine, which
-    holds only for unit vectors, so every corpus row and every query
-    (:func:`check_query`) must have ``|‖x‖ − 1| ≤ NORM_TOL``. Inputs are
-    rejected, not normalised: a non-unit vector is a caller's bug, and a
-    silent fix would hide it.
-    """
-    emb = np.ascontiguousarray(emb, dtype=np.float32)
-    if emb.ndim != 2 or 0 in emb.shape:
-        raise ValueError(f"corpus has shape {emb.shape}, expected a non-empty (n, d) array")
-    n = emb.shape[0]
-    ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, np.int64)
-    if ids.shape != (n,):
-        raise ValueError(f"ids have shape {ids.shape}, expected ({n},) to align with the rows")
-    bad = np.flatnonzero(~np.isfinite(emb).all(axis=1))
-    if bad.size:
-        raise ValueError(f"corpus rows {bad[:5].tolist()} have non-finite values")
-    bad = np.flatnonzero(np.abs(np.sqrt(np.einsum("ij,ij->i", emb, emb)) - 1.0) > NORM_TOL)
-    if bad.size:
-        raise ValueError(f"corpus rows {bad[:5].tolist()} are not unit-norm")
-    if np.unique(ids).size != n:
-        raise ValueError("corpus ids are not unique")
-    return emb, ids
 
 
 def check_clusters(
@@ -91,7 +61,8 @@ def check_clusters(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Injected Stage-1 output for an (n, d) corpus as (float32 centroids,
     int32 assignments); ValueError unless both are given, ``centroids`` is
-    a finite (c, d) array and ``assignments`` an (n,) integer array with
+    a finite (c, d) array of unit rows (``CentroidScan`` ranks by
+    ``centroids @ q``) and ``assignments`` an (n,) integer array with
     values in [0, c)."""
     if assignments is None or centroids is None:
         raise ValueError("assignments and centroids are injected together: pass both or neither")
@@ -101,6 +72,9 @@ def check_clusters(
         raise ValueError(f"centroids have shape {centroids.shape}, expected (c, {d})")
     if not np.isfinite(centroids).all():
         raise ValueError("centroids have non-finite values")
+    bad = np.flatnonzero(np.abs(np.linalg.norm(centroids, axis=1) - 1.0) > NORM_TOL)
+    if bad.size:
+        raise ValueError(f"centroids {bad[:5].tolist()} are not unit-norm")
     c = centroids.shape[0]
     assignments = np.asarray(assignments)
     if assignments.shape != (n,) or not np.issubdtype(assignments.dtype, np.integer):
@@ -231,8 +205,8 @@ class LIDER:
       one int32 array of H·n, cluster j's block from H·offsets[j];
     * ``roots`` (c, 3, H) and ``children`` (c, 3, H, W): the folded RMI
       parameters (zeros for an empty cluster);
-    * ``planes`` (H, M, d) and ``shifts`` (c,): the one hyperplane tensor,
-      and how many bits of a key at its length M cluster j's keys drop.
+    * ``planes`` (H, M, d): the one hyperplane tensor every cluster hashes
+      with.
 
     No sorted keys are kept: search never reads them.
     """
@@ -242,7 +216,7 @@ class LIDER:
         self.centroids: np.ndarray | None = None  # (c, d)
         self.assignments: np.ndarray | None = None  # (n,)
         self.planes: np.ndarray | None = None  # (H, M, d) shared by the IRs
-        self.emb = self.ids = self.offsets = self.sizes = self.shifts = None
+        self.emb = self.ids = self.offsets = self.sizes = None
         self.rows = self.roots = self.children = None
         self.report = BuildReport()
 
@@ -273,8 +247,9 @@ class LIDER:
         — Stage 1 is then skipped but still timed. Stage 3 permutes the
         corpus into cluster order once (members in row order), fits each
         non-empty cluster's core model on its slice with the one plane
-        tensor, and copies its sorted rows and folded RMI parameters into
-        the stacked arrays, so no per-cluster copy outlives the build.
+        tensor, without checking the slice again, and copies its sorted rows
+        and folded RMI parameters into the stacked arrays, so no
+        per-cluster copy outlives the build.
         """
         emb, ids = check_corpus(emb, ids)
         cfg = self.config
@@ -299,13 +274,12 @@ class LIDER:
         in_cfg = cfg.core_config(IN_CLUSTER_GROUP)
         h, w = in_cfg.h, in_cfg.width
         self.planes = in_cfg.hyperplanes(emb.shape[1], int(self.sizes.max()))
-        bits = np.array([in_cfg.hashkey_bits(int(s)) for s in self.sizes])
-        self.shifts = (self.planes.shape[1] - bits).astype(np.uint64)
         self.rows = np.empty(h * emb.shape[0], dtype=np.int32)
         self.roots = np.zeros((c, 3, h))
         self.children = np.zeros((c, 3, h, w))
         for j in np.flatnonzero(self.sizes).tolist():
-            cm = CoreModel(in_cfg).fit(self.emb[self.part(j)], planes=self.planes)
+            part = self.part(j)
+            cm = CoreModel(in_cfg)._fit(self.emb[part], self.ids[part], self.planes)
             self.block(j)[:], self.roots[j], self.children[j] = cm.esklsh.rows, cm.roots, cm.children
         self.report.stage3_bytes = self.memory_footprint()
         self.report.stage3_seconds = time.perf_counter() - t0
@@ -353,17 +327,17 @@ class LIDER:
         descending: what :meth:`search` merges and the Spark DataSource
         yields. ``probed`` is an array of non-empty cluster ids. A cluster
         whose windows would reach most of it (:func:`scans_whole`) skips
-        them and is verified whole. For the rest: hash once and shift per
-        cluster, predict all (clusters, H) locations, gather every window
-        with one ``np.take`` and union per cluster, then verify each
-        cluster's candidates against its rows of ``emb``."""
+        them and is verified whole. For the rest: hash once, predict all
+        (clusters, H) locations, gather every window with one ``np.take``
+        and union per cluster, then verify each cluster's candidates against
+        its rows of ``emb``."""
         offsets, sizes = self.offsets[probed], self.sizes[probed]
         r = self.config.r0 * k
         cands: list[np.ndarray | None] = [None] * len(sizes)
         windowed = np.flatnonzero(~scans_whole(self.planes.shape[0], r, sizes))
         if windowed.size:
             wp, wo, wn = probed[windowed], offsets[windowed], sizes[windowed]
-            keys = query_keys(self.planes, q, self.shifts[wp, None])
+            keys = query_keys(self.planes, q)
             length = wn[:, None].astype(np.float64)
             locs = rmi_locations(self.roots[wp], self.children[wp], length, keys)
             for i, rows in zip(windowed.tolist(), window_union(self.rows, wo, wn, locs, r)):

@@ -51,12 +51,11 @@ from pyspark.sql.types import StructType
 from repro.core.lider import LIDER, CentroidScan, LIDERConfig, check_query
 
 SCHEMA_DDL = "id long, cluster_id int, score double, rank int"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 DEFAULT_K = 100  # top-k of a query read without a k option
 # Saved as index/<name>.npy: the centroids and LIDER's layout, which is what
 # LIDER.search_clusters reads. A full scan reads SCAN_ARRAYS only.
-ARRAYS = ("centroids", "planes", "emb", "ids", "offsets", "sizes", "shifts", "rows", "roots",
-          "children")
+ARRAYS = ("centroids", "planes", "emb", "ids", "offsets", "sizes", "rows", "roots", "children")
 SCAN_ARRAYS = ("ids", "offsets", "sizes")
 
 

@@ -32,13 +32,9 @@ def expansion_window(loc, r: int, length):
     return start, start + width
 
 
-def query_keys(planes: np.ndarray, q: np.ndarray, shift) -> np.ndarray:
-    """Hashkeys of ``q`` under the first ``M − shift`` rows of each (M, d)
-    slice of ``planes``: one product at the full length M, then a right
-    shift. Keys pack MSB-first, so dropping the last bits of the long key is
-    the key of the ``[:, :M − shift]`` view. ``shift`` (uint64) may be an
-    array, e.g. (c0, 1) for one key length per cluster → (c0, H) keys."""
-    return pack_bits((planes @ q) > 0) >> shift
+def query_keys(planes: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(H,) hashkeys of ``q``, one per (M, d) slice of ``planes``."""
+    return pack_bits((planes @ q) > 0)
 
 
 def window_union(
@@ -114,33 +110,21 @@ class SortedKeyArray:
 class ESKLSH:
     """The full dimension-reduction module: H compound hashes + H sorted arrays.
 
-    ``planes`` is an (H, M', d) tensor of :func:`~repro.lsh.projections.hyperplanes`;
-    the model's hashkeys are its first ``m ≤ M'`` bits (all by default), so
-    one index-wide tensor serves models of every key length. The H sorted
-    arrays are held as one (H, L) ``keys`` and one (H, L) ``rows`` array;
-    ``arrays`` views them per array. Given only ``rows`` (e.g. a view of a
-    LIDER layout) and the hashed vectors ``x``, keys are derived when read.
+    ``planes`` is an (H, M, d) tensor of :func:`~repro.lsh.projections.hyperplanes`;
+    the model's hashkeys are its M bits. The H sorted arrays are held as one
+    (H, L) ``keys`` and one (H, L) ``rows`` array; ``arrays`` views them per
+    array. Given only ``rows`` (e.g. a view of a LIDER layout) and the hashed
+    vectors ``x``, keys are derived when read.
     """
 
-    def __init__(self, planes: np.ndarray, m: int | None = None):
-        self.h = planes.shape[0]
+    def __init__(self, planes: np.ndarray):
+        self.h, self.m = planes.shape[:2]
         if self.h <= 0:
             raise ValueError("H must be positive")
-        self.hash_planes = planes
-        self.m = planes.shape[1] if m is None else m
+        self.planes = planes
         self.x: np.ndarray | None = None  # (L, d) rows to derive keys from, if not fitted
         self._keys: np.ndarray | None = None
         self.rows: np.ndarray | None = None  # (H, L) int32 rows, each array in key order
-
-    @property
-    def planes(self) -> np.ndarray:
-        """The (H, m, d) view this model's keys are hashed with."""
-        return self.hash_planes[:, : self.m]
-
-    @property
-    def shift(self) -> np.uint64:
-        """Bits a key at the tensor's full length loses to be this model's."""
-        return np.uint64(self.hash_planes.shape[1] - self.m)
 
     @property
     def keys(self) -> np.ndarray | None:
@@ -189,7 +173,7 @@ class ESKLSH:
 
     def query_keys(self, q: np.ndarray) -> np.ndarray:
         """(H,) query hashkeys, one per array (see :func:`query_keys`)."""
-        return query_keys(self.hash_planes, np.asarray(q, dtype=np.float32), self.shift)
+        return query_keys(self.planes, np.asarray(q, dtype=np.float32))
 
     def candidate_rows(self, locations: np.ndarray, r: int) -> np.ndarray:
         """Union (deduplicated, ascending) of the H expansion windows: the

@@ -9,9 +9,7 @@ Slice h of a core model's planes is seeded by (base_seed, group, h)
 through numpy's SeedSequence, so the driver-side NumPy build and the
 distributed Spark build generate bit-identical projections. The draw is
 sequential, so the M-row slice is the first M rows of any longer draw
-from the same seed: a core model with a shorter hashkey can hash with a
-``[:, :M]`` view of a longer tensor (the prefix property LIDER uses to
-give every in-cluster retriever one shared tensor).
+from the same seed.
 """
 from __future__ import annotations
 

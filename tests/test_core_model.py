@@ -3,9 +3,11 @@ import numpy as np
 import pytest
 
 from repro.baselines.sklsh import SKLSHIndex
+from repro.core import core_model
 from repro.core.core_model import CoreModel, CoreModelConfig, scans_whole, top_k
 from repro.embeddings.corpus import make_corpus
 from repro.lsh.esklsh import ESKLSH
+from repro.lsh.hashkeys import pack_bits
 from repro.metrics import recall_at_k
 from repro.rmi.rescale import KeyRescaler
 from repro.rmi.rmi import _BIG, SimplifiedRMI
@@ -149,18 +151,19 @@ class TestBuild:
         b = CoreModel(CoreModelConfig(h=2, group=1)).fit(corpus_small.emb)
         assert not np.array_equal(a.esklsh.arrays[0].keys, b.esklsh.arrays[0].keys)
 
-    def test_shared_planes_view_equals_own_draw(self, corpus_small):
-        """Given a longer tensor of its seed group, a model hashes with a
-        view of it and builds what it builds with its own planes."""
+    def test_given_planes_hash_with_all_their_bits(self, corpus_small):
+        """Given a longer tensor than its own draw, a model keys its corpus
+        and its queries with every bit of it."""
         cfg = CoreModelConfig(h=3)
         shared = cfg.hyperplanes(corpus_small.dim, 100 * corpus_small.n)
-        a = CoreModel(cfg).fit(corpus_small.emb, planes=shared)
-        b = CoreModel(cfg).fit(corpus_small.emb)
-        assert np.shares_memory(a.esklsh.planes, shared)
-        assert np.array_equal(a.esklsh.planes, b.esklsh.planes)
-        for arr_a, arr_b in zip(a.esklsh.arrays, b.esklsh.arrays, strict=True):
-            assert np.array_equal(arr_a.keys, arr_b.keys)
-            assert np.array_equal(arr_a.rows, arr_b.rows)
+        assert shared.shape[1] > cfg.hashkey_bits(corpus_small.n)
+        model = CoreModel(cfg).fit(corpus_small.emb, planes=shared)
+        assert model.esklsh.planes is shared
+        for h, arr in enumerate(model.esklsh.arrays):
+            want = pack_bits((corpus_small.emb @ shared[h].T) > 0)
+            assert np.array_equal(arr.keys, want[arr.rows])
+        q = corpus_small.emb[7]
+        assert np.array_equal(model.esklsh.query_keys(q), pack_bits((shared @ q) > 0))
 
     def test_planes_that_cannot_hash_raise(self, corpus_small):
         cfg = CoreModelConfig(h=3)
@@ -355,6 +358,24 @@ class TestInputChecks:
         for call in (model.search, model.candidate_rows):
             with pytest.raises(ValueError, match="k must be"):
                 call(queries_small.emb[0], k)
+
+    @pytest.mark.parametrize("kind", ["standalone", "view"])
+    def test_each_call_checks_the_query_once(
+        self, core_model_small, lider_small, queries_small, monkeypatch, kind
+    ):
+        """``search``, ``candidate_rows`` and ``predict_locations`` each run
+        ``check_query`` once, here on models that run their windows at k=2."""
+        model = core_model_small if kind == "standalone" else lider_small.in_cluster[0]
+        assert not scans_whole(model.config.h, model.config.r0 * 2, model.n)
+        calls = []
+        real = core_model.check_query
+        monkeypatch.setattr(core_model, "check_query", lambda *a: calls.append(1) or real(*a))
+        q = queries_small.emb[0]
+        for call in (lambda: model.search(q, 2), lambda: model.candidate_rows(q, 2),
+                     lambda: model.predict_locations(q)):
+            calls.clear()
+            call()
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("k", [0, -3])
     def test_top_k_below_one_raises(self, k):

@@ -39,7 +39,7 @@ class TestLayout:
         pickles. Saving over a format-1 directory removes its Parquet
         ``embeddings/`` tree and keeps the user's own file."""
         path, lider = saved_index
-        names = "centroids planes emb ids offsets sizes shifts rows roots children".split()
+        names = "centroids planes emb ids offsets sizes rows roots children".split()
         assert os.listdir(path) == ["index"]
         idx_dir = os.path.join(path, "index")
         assert set(os.listdir(idx_dir)) == {"meta.json"} | {f"{n}.npy" for n in names}

@@ -3,11 +3,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import core_model
-from repro.core.core_model import CoreModel, scans_whole, top_k, verify
+from repro.core import core_model, lider as lider_module
+from repro.core.core_model import CoreModel, CoreModelConfig, scans_whole, top_k, verify
 from repro.core.lider import IN_CLUSTER_GROUP, LIDER, LIDERConfig, check_corpus, check_query
 from repro.embeddings.corpus import make_corpus
-from repro.lsh.esklsh import ESKLSH, window_union
+from repro.lsh.esklsh import ESKLSH, query_keys, window_union
+from repro.lsh.hashkeys import pack_bits
 from repro.metrics import mrr_at_k, recall_at_k
 from repro.oracle import assert_equivalent
 from tests.test_core_model import reference_fit
@@ -43,6 +44,20 @@ def bad_corpus(case: str, emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # check_corpus's message for a corpus that is not a non-empty (n, d) array.
 BAD_SHAPE = "expected a non-empty"
 
+# bad_corpus's defects → check_corpus's message.
+BAD_CORPORA = [
+    ("nan_row", "non-finite"),
+    ("inf_row", "non-finite"),
+    ("duplicate_ids", "not unique"),
+    ("ids_one_short", "align"),
+    ("ids_one_long", "align"),
+    ("non_unit_row", "unit-norm"),
+    ("one_d", BAD_SHAPE),
+    ("three_d", BAD_SHAPE),
+    ("no_rows", BAD_SHAPE),
+    ("no_cols", BAD_SHAPE),
+]
+
 # Injected Stage-1 defects (on 8 clusters) → check_clusters's message.
 BAD_CLUSTERS = {
     "assignments_only": "together",
@@ -54,6 +69,7 @@ BAD_CLUSTERS = {
     "centroids_wrong_dim": "centroids have shape",
     "centroids_one_d": "centroids have shape",
     "centroids_nan": "non-finite",
+    "centroids_off_norm": "not unit-norm",
 }
 
 
@@ -75,6 +91,20 @@ def merged_cluster_searches(lider: LIDER, q: np.ndarray, k: int) -> tuple[np.nda
     return ids[top], scores[top]
 
 
+def mixed_size_lider(corpus) -> tuple[LIDER, np.ndarray]:
+    """(LIDER, assignments) over 400 rows of ``corpus`` in clusters of 1
+    and 2 rows, three of ~130 and an empty one: clusters whose own
+    hashkey lengths differ."""
+    n = 400
+    assignments = np.random.default_rng(2).integers(2, 5, n).astype(np.int32)
+    assignments[[5, 17, 300]] = [0, 1, 1]  # cluster 0: one row, 1: two, 5: none
+    centroids = np.eye(6, corpus.dim, dtype=np.float32)
+    lider = LIDER(LIDERConfig(c0=2)).fit(
+        corpus.emb[:n], assignments=assignments, centroids=centroids)
+    assert lider.sizes.tolist()[:2] == [1, 2] and lider.sizes[5] == 0
+    return lider, assignments
+
+
 def assert_layout_views(lider: LIDER) -> None:
     """Every in-cluster retriever's arrays are views of their slice of the
     index's one cluster-contiguous layout."""
@@ -88,7 +118,7 @@ def assert_layout_views(lider: LIDER) -> None:
             (cm.esklsh.rows, block.reshape(h, -1)),
             (cm.roots, lider.roots[j]),
             (cm.children, lider.children[j]),
-            (cm.esklsh.planes, lider.planes[:, :cm.esklsh.m]),
+            (cm.esklsh.planes, lider.planes),
         ]
         pairs += [(arr.rows, block.reshape(h, -1)[i]) for i, arr in enumerate(cm.esklsh.arrays)]
         for view, expected in pairs:
@@ -154,42 +184,62 @@ class TestBuild:
     def test_layout_equals_per_array_reference(self, corpus_small):
         """Clusters of 1 and 2 rows, an empty one and larger ones: each
         block, root and child set equals the per-array reference's over the
-        cluster's rows, in row order, with its view of the planes."""
-        n = 400
-        assignments = np.random.default_rng(2).integers(2, 5, n).astype(np.int32)
-        assignments[[5, 17, 300]] = [0, 1, 1]  # cluster 0: one row, 1: two, 5: none
-        centroids = np.eye(6, corpus_small.dim, dtype=np.float32)
-        lider = LIDER(LIDERConfig(c0=2)).fit(
-            corpus_small.emb[:n], assignments=assignments, centroids=centroids)
-        assert lider.sizes.tolist()[:2] == [1, 2] and lider.sizes[5] == 0
+        cluster's rows, in row order, with all the bits of the planes."""
+        lider, assignments = mixed_size_lider(corpus_small)
         in_cfg = lider.config.core_config(IN_CLUSTER_GROUP)
         for j in lider.in_cluster:
-            rows = corpus_small.emb[:n][assignments == j]
-            esk = ESKLSH(lider.planes, in_cfg.hashkey_bits(rows.shape[0]))
-            ref = reference_fit(esk, rows, in_cfg.width, in_cfg.rescale)
+            rows = corpus_small.emb[:assignments.size][assignments == j]
+            ref = reference_fit(ESKLSH(lider.planes), rows, in_cfg.width, in_cfg.rescale)
             assert np.array_equal(lider.block(j), ref["rows"])
             assert np.array_equal(lider.roots[j], ref["roots"])
             assert np.array_equal(lider.children[j], ref["children"])
 
-    @pytest.mark.parametrize(
-        "case, match",
-        [
-            ("nan_row", "non-finite"),
-            ("inf_row", "non-finite"),
-            ("duplicate_ids", "not unique"),
-            ("ids_one_short", "align"),
-            ("ids_one_long", "align"),
-            ("non_unit_row", "unit-norm"),
-            ("one_d", BAD_SHAPE),
-            ("three_d", BAD_SHAPE),
-            ("no_rows", BAD_SHAPE),
-            ("no_cols", BAD_SHAPE),
-        ],
-    )
+    def test_every_cluster_keys_with_all_plane_bits(self, corpus_small):
+        """Clusters whose own hashkey lengths differ (1, 2 and ~130 rows)
+        all hash with every bit of ``lider.planes``: each view's derived
+        keys are its rows' keys under the whole tensor, and a corpus row's
+        query key, on both search paths, equals its stored key in every
+        array."""
+        lider, _ = mixed_size_lider(corpus_small)
+        in_cfg = lider.config.core_config(IN_CLUSTER_GROUP)
+        bits = {in_cfg.hashkey_bits(int(s)) for s in lider.sizes[lider.sizes > 0]}
+        assert len(bits) > 1 and max(bits) == lider.planes.shape[1]
+        for j, cm in lider.in_cluster.items():
+            x, keys, rows = lider.emb[lider.part(j)], cm.esklsh.keys, cm.esklsh.rows
+            for h in range(lider.config.h):
+                assert np.array_equal(keys[h], pack_bits((x @ lider.planes[h].T) > 0)[rows[h]])
+            stored = np.take_along_axis(keys, np.argsort(rows, axis=1), axis=1)  # (H, n_j)
+            for i, row in enumerate(x):
+                assert np.array_equal(query_keys(lider.planes, row), stored[:, i])
+                assert np.array_equal(cm.esklsh.query_keys(row), stored[:, i])
+
+    @pytest.mark.parametrize("case, match", BAD_CORPORA)
     def test_bad_corpus_raises(self, corpus_small, case, match):
         emb, ids = bad_corpus(case, corpus_small.emb)
         with pytest.raises(ValueError, match=match):
             LIDER(LIDERConfig(c=8, c0=4)).fit(emb, ids)
+
+    @pytest.mark.parametrize("case, match", [
+        (case, match) for case, match in BAD_CORPORA
+        if case in ("nan_row", "inf_row", "non_unit_row", "duplicate_ids", "ids_one_short")
+    ])
+    def test_bad_corpus_raises_at_core_model_fit(self, corpus_small, case, match):
+        """A standalone core model checks its corpus as LIDER does; a
+        corrupt one would otherwise fit and rank silently."""
+        emb, ids = bad_corpus(case, corpus_small.emb)
+        with pytest.raises(ValueError, match=match):
+            CoreModel(CoreModelConfig(h=3)).fit(emb, ids)
+
+    def test_cluster_slices_are_checked_once(self, corpus_small, monkeypatch):
+        """LIDER.fit checks the whole corpus once; its per-cluster fits do
+        not check their slices again."""
+        calls = []
+        real = lider_module.check_corpus
+        monkeypatch.setattr(core_model, "check_corpus", lambda *a: calls.append(1) or real(*a))
+        monkeypatch.setattr(lider_module, "check_corpus",
+                            lambda *a: calls.append(0) or real(*a))
+        LIDER(LIDERConfig(c=8, c0=4)).fit(corpus_small.emb)
+        assert calls == [0]
 
     @pytest.mark.parametrize("case", BAD_CLUSTERS)
     def test_bad_injected_clusters_raise(self, corpus_small, clustered_small, case):
@@ -217,6 +267,8 @@ class TestBuild:
             kwargs["centroids"] = cents[0]
         elif case == "centroids_nan":
             cents[2, 5] = np.nan
+        elif case == "centroids_off_norm":
+            cents[3] *= 20
         with pytest.raises(ValueError, match=BAD_CLUSTERS[case]):
             LIDER(LIDERConfig(c=8, c0=4)).fit(corpus_small.emb, **kwargs)
 

@@ -16,7 +16,7 @@ from tests.test_lider import WINDOWED_K, assert_layout_views
 
 CFG = LIDERConfig(c=8, c0=4)
 PARAMS = ("roots", "children")
-LAYOUT = ("emb", "ids", "offsets", "sizes", "shifts", "rows", "roots", "children", "planes")
+LAYOUT = ("emb", "ids", "offsets", "sizes", "rows", "roots", "children", "planes")
 ID_KINDS = ("arange", "reversed", "permuted")
 
 
