@@ -62,11 +62,9 @@ def window_union(
 
 
 def key_storage_dtype(m_bits: int | None) -> np.dtype:
-    """Narrowest unsigned dtype holding an M-bit hashkey.
-
-    Mirrors the paper's Table-5 memory story: in-cluster hashkeys are short
-    (M = ceil(log2 cluster_size) + pad), so LIDER's arrays store far fewer
-    bytes per element than whole-corpus SK-LSH arrays."""
+    """Narrowest unsigned dtype holding an M-bit hashkey: the width of the
+    sorted keys a fitted model keeps (standalone core models, SK-LSH) or
+    derives (a LIDER view)."""
     if m_bits is None:
         return np.dtype(np.uint64)
     if m_bits <= 16:
